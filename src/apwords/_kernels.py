@@ -2,13 +2,12 @@
 
 Two implementations live side by side:
 
-* numba ``@njit`` kernels (default), and
-* a pure numpy / Python fallback, selected by setting the environment
-  variable ``APWORDS_NO_NUMBA=1`` before import (or used automatically
-  when numba is not installed).
+* numba ``@njit`` kernels, used when numba is installed (the optional
+  ``jit`` extra), and
+* a pure numpy / Python fallback, used otherwise or when the environment
+  variable ``APWORDS_NO_NUMBA=1`` is set before import.
 
-Both are exercised by the test suite; ``benchmarks/bench_kernels.py``
-compares their throughput.
+Both are exercised by the test suite.
 """
 
 import os
@@ -67,19 +66,20 @@ def occurrences_numpy(text, pattern):
     m = pattern.shape[0]
     if m > n:
         return np.empty(0, np.int64)
-    cand = np.nonzero(text[: n - m + 1] == pattern[0])[0]
-    for j in range(1, m):
+    span = n - m + 1
+    # The first symbols are matched with whole-text boolean masks: on a
+    # binary text about 1/16 of the positions survive four symbols, so the
+    # index arrays below stay far smaller than the text.
+    head = min(m, 4)
+    hit = text[:span] == pattern[0]
+    for j in range(1, head):
+        hit &= text[j : j + span] == pattern[j]
+    cand = np.nonzero(hit)[0]
+    for j in range(head, m):
         if cand.size == 0:
             break
         cand = cand[text[cand + j] == pattern[j]]
     return cand.astype(np.int64)
-
-
-def occurrences_python(text, pattern):
-    """Un-jitted KMP (fallback for the jitted kernel in benchmarks)."""
-    out = np.empty(text.shape[0] + 1, np.int64)
-    count = _kmp_scan(text, pattern, out)
-    return out[:count].copy()
 
 
 def mealy_run_python(next_state, out_symbol, initial, inp):
@@ -97,7 +97,7 @@ mealy_run_numba = None
 if NUMBA_REQUESTED:
     try:
         from numba import njit
-    except ImportError:  # pragma: no cover - numba is a declared dependency
+    except ImportError:  # numba is an optional extra
         njit = None
     if njit is not None:
         _kmp_scan_jit = njit(cache=True)(_kmp_scan)

@@ -106,6 +106,8 @@ def min_window(x: FiniteWord, w: FiniteWord) -> int | None:
 def check_window(x: FiniteWord, w: FiniteWord, window_length: int) -> int | None:
     """None when every length-`window_length` window of w contains x;
     otherwise the smallest violating window start."""
+    if window_length < 1:
+        raise ValueError(f"window length must be >= 1, got {window_length}")
     if window_length > len(w):
         raise InsufficientDataError(
             f"window length {window_length} exceeds the available prefix ({len(w)})",

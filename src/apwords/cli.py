@@ -10,6 +10,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from .analysis import (
     check_window,
     eap_cut_search,
@@ -43,7 +45,7 @@ from .machines import (
     run_mealy,
     run_transducer,
 )
-from .words import Alphabet, FiniteWord, parse_word, render_symbols
+from .words import Alphabet, FiniteWord, bar, occurrences, parse_word, render_symbols
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -125,6 +127,8 @@ def _input_word(args, parser) -> FiniteWord:
             return parse_word(fh.read())
     if args.length is None:
         parser.error("--gen needs --length")
+    if args.length < 0:
+        parser.error("--length must be >= 0")
     return _build_source(args.gen).prefix(args.length)
 
 
@@ -158,12 +162,11 @@ def cmd_gen(args, parser):
         parser.error("--length must be >= 1")
     out = sys.stdout
     sep = "" if src.alphabet.single_char else " "
+    data = src.prefix_array(n)
     for start in range(0, n, CHUNK):
-        end = min(start + CHUNK, n)
-        chunk = src.prefix_array(end)[start:end]
         if start:
             out.write(sep)
-        out.write(render_symbols(src.alphabet, chunk))
+        out.write(render_symbols(src.alphabet, data[start : start + CHUNK]))
     out.write("\n")
     return EXIT_OK
 
@@ -173,8 +176,6 @@ def cmd_occ(args, parser):
     x = _word_for_alphabet(args.pattern, w.alphabet)
     if len(x) == 0:
         raise EmptyPatternError("pattern must be nonempty")
-    from .words import occurrences
-
     starts = occurrences(x, w)
     print(" ".join(str(int(p)) for p in starts))
     return EXIT_OK
@@ -233,19 +234,11 @@ def cmd_run(args, parser):
     else:
         trace = run_transducer(machine, word)
     if args.emit_states:
-        out_alpha = machine.output_alphabet
-        tokens = []
-        if isinstance(machine, MealyMachine):
-            per_step = [[out_alpha.label(int(s))] for s in trace.output.data]
-        else:
-            per_step = []
-            for q, a in zip(trace.states[:-1], word.data):
-                _, emitted = machine.transition(q, machine.input_alphabet.label(int(a)))
-                per_step.append([out_alpha.label(int(s)) for s in emitted.data])
-        for q, emitted in zip(trace.states[:-1], per_step):
-            tokens.append("@" + q)
-            tokens.extend(emitted)
-        print(" ".join(tokens))
+        # Each step's "@state" marker goes before the symbols that step emitted.
+        labels = np.array(machine.output_alphabet.labels, object)[trace.output.data]
+        starts = np.cumsum(trace.step_lengths) - trace.step_lengths
+        marks = "@" + np.array(trace.states[:-1], object)
+        print(" ".join(np.insert(labels, starts, marks).tolist()))
     else:
         print(trace.output.to_text())
     return EXIT_OK
@@ -328,17 +321,11 @@ def cmd_verify_thm1(args, parser):
         record(verify_cn_absent(fam, n, args.horizon), f"c-absent n={n}")
         bound = 5 * (5 ** (n + 2) - 1) // 2 + 2 * 5 ** (n + 2)
         ok = True
-        for x in (fam.a(n), _complement(fam.a(n))):
+        for x in (fam.a(n), bar(fam.a(n))):
             if check_window(x, prefix, min(bound, args.horizon)) is not None:
                 ok = False
         record(ok, f"window-bound n={n}")
     return EXIT_OK if all(results) else EXIT_VERIFY_FAIL
-
-
-def _complement(w):
-    from .words import bar
-
-    return bar(w)
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +424,7 @@ def main(argv=None):
     except AlphabetError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_MISMATCH
-    except OSError as e:
+    except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -8,14 +8,14 @@ afterwards; runs are pure functions of machine and input.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _kernels
 from .errors import AlphabetError, FormatError
 from .sources import InfiniteWordSource
-from .words import Alphabet, FiniteWord
+from .words import Alphabet, EmissionTable, FiniteWord
 
 INFINITE_EVIDENT = "infinite-evident"
 FINITE_SO_FAR = "finite-so-far"
@@ -24,11 +24,15 @@ UNKNOWN = "unknown"
 
 @dataclass(frozen=True)
 class RunTrace:
-    """States visited (starting at the initial state), output, symbols read."""
+    """States visited (starting at the initial state), output, symbols read.
+
+    ``step_lengths[i]`` is the number of output symbols emitted by step i.
+    """
 
     states: tuple[str, ...]
     output: FiniteWord
     consumed: int
+    step_lengths: np.ndarray = field(compare=False, repr=False)
 
 
 def _state_label(alphabet: Alphabet, indices) -> str:
@@ -36,53 +40,21 @@ def _state_label(alphabet: Alphabet, indices) -> str:
     return "".join(labels) if alphabet.single_char else ",".join(labels)
 
 
-class MealyMachine:
-    """Finite automaton emitting exactly one output symbol per input symbol."""
-
-    def __init__(self, input_alphabet, output_alphabet, states, initial, transitions):
-        """``transitions`` maps (state label, input label) to
-        (next state label, output label)."""
-        self.input_alphabet = input_alphabet
-        self.output_alphabet = output_alphabet
-        self.states = tuple(states)
-        if len(set(self.states)) != len(self.states):
-            raise FormatError(f"duplicate state labels in {self.states}")
-        if initial not in self.states:
-            raise FormatError(f"initial state {initial!r} not declared")
-        self.initial = initial
-        state_idx = {q: i for i, q in enumerate(self.states)}
-        nq, na = len(self.states), len(input_alphabet)
-        self._next = np.zeros((nq, na), np.int32)
-        self._out = np.zeros((nq, na), np.uint8)
-        seen = set()
-        for (q, a), (q2, b) in transitions.items():
-            if q not in state_idx:
-                raise FormatError(f"transition from undeclared state {q!r}")
-            if q2 not in state_idx:
-                raise FormatError(f"transition to undeclared state {q2!r}")
-            ai = input_alphabet.index(a)
-            self._next[state_idx[q], ai] = state_idx[q2]
-            self._out[state_idx[q], ai] = output_alphabet.index(b)
-            seen.add((q, a))
-        missing = [
-            (q, a) for q in self.states for a in input_alphabet if (q, a) not in seen
-        ]
-        if missing:
-            raise FormatError(f"transition table not total; missing {missing[:5]}")
-        self._initial_idx = state_idx[self.initial]
-        self._state_idx = state_idx
-
-    def transition(self, state: str, symbol: str) -> tuple[str, str]:
-        qi = self._state_idx[state]
-        ai = self.input_alphabet.index(symbol)
-        return (
-            self.states[self._next[qi, ai]],
-            self.output_alphabet.label(int(self._out[qi, ai])),
-        )
+def _emission(word, alphabet: Alphabet) -> np.ndarray:
+    """Index array of a FiniteWord or a sequence of labels over ``alphabet``."""
+    if isinstance(word, FiniteWord):
+        if word.alphabet != alphabet:
+            raise AlphabetError(f"emission {word!r} over wrong alphabet")
+        return word.data
+    return np.array([alphabet.index(s) for s in word], np.uint8)
 
 
 class Transducer:
-    """Like a Mealy machine, but each step emits a word (possibly empty)."""
+    """Finite automaton that emits a word (possibly empty) on each step.
+
+    The emissions live in one :class:`EmissionTable` under the key
+    ``state index * |input alphabet| + input symbol``.
+    """
 
     def __init__(self, input_alphabet, output_alphabet, states, initial, transitions):
         """``transitions`` maps (state label, input label) to
@@ -98,41 +70,52 @@ class Transducer:
         state_idx = {q: i for i, q in enumerate(self.states)}
         nq, na = len(self.states), len(input_alphabet)
         self._next = np.zeros((nq, na), np.int32)
-        self._emit: list[list[np.ndarray]] = [
-            [None] * na for _ in range(nq)  # type: ignore[list-item]
-        ]
+        emissions = [None] * (nq * na)
         for (q, a), (q2, out) in transitions.items():
             if q not in state_idx:
                 raise FormatError(f"transition from undeclared state {q!r}")
             if q2 not in state_idx:
                 raise FormatError(f"transition to undeclared state {q2!r}")
-            ai = input_alphabet.index(a)
-            if isinstance(out, FiniteWord):
-                if out.alphabet != output_alphabet:
-                    raise AlphabetError("emission word over wrong alphabet")
-                arr = out.data
-            else:
-                arr = np.array([output_alphabet.index(s) for s in out], np.uint8)
-            self._next[state_idx[q], ai] = state_idx[q2]
-            self._emit[state_idx[q]][ai] = arr
+            qi, ai = state_idx[q], input_alphabet.index(a)
+            self._next[qi, ai] = state_idx[q2]
+            emissions[qi * na + ai] = _emission(out, output_alphabet)
         missing = [
-            (q, a)
-            for q in self.states
-            for a in input_alphabet
-            if self._emit[state_idx[q]][input_alphabet.index(a)] is None
+            (self.states[k // na], input_alphabet.label(k % na))
+            for k, emitted in enumerate(emissions)
+            if emitted is None
         ]
         if missing:
             raise FormatError(f"transition table not total; missing {missing[:5]}")
+        self._emit = EmissionTable(emissions)
         self._initial_idx = state_idx[self.initial]
         self._state_idx = state_idx
 
     def transition(self, state: str, symbol: str) -> tuple[str, FiniteWord]:
         qi = self._state_idx[state]
         ai = self.input_alphabet.index(symbol)
-        return (
-            self.states[self._next[qi, ai]],
-            FiniteWord(self.output_alphabet, self._emit[qi][ai]),
+        emitted = self._emit[qi * len(self.input_alphabet) + ai]
+        return self.states[self._next[qi, ai]], FiniteWord(self.output_alphabet, emitted)
+
+
+class MealyMachine(Transducer):
+    """Transducer emitting exactly one output symbol per input symbol."""
+
+    def __init__(self, input_alphabet, output_alphabet, states, initial, transitions):
+        """``transitions`` maps (state label, input label) to
+        (next state label, output label)."""
+        super().__init__(
+            input_alphabet,
+            output_alphabet,
+            states,
+            initial,
+            {key: (q2, [b]) for key, (q2, b) in transitions.items()},
         )
+        # The width-1 emission table, as the kernel's output table.
+        self._out = self._emit.expand(np.arange(self._next.size)).reshape(self._next.shape)
+
+    def transition(self, state: str, symbol: str) -> tuple[str, str]:
+        q2, out = super().transition(state, symbol)
+        return q2, out[0]
 
 
 class Homomorphism:
@@ -142,25 +125,16 @@ class Homomorphism:
         """``images`` maps every source label to a FiniteWord or label list."""
         self.source = source
         self.target = target
-        self._images: list[np.ndarray] = []
         for s in source:
             if s not in images:
                 raise FormatError(f"no image for symbol {s!r}")
-            img = images[s]
-            if isinstance(img, FiniteWord):
-                if img.alphabet != target:
-                    raise AlphabetError(f"image of {s!r} over wrong alphabet")
-                self._images.append(img.data)
-            else:
-                self._images.append(
-                    np.array([target.index(t) for t in img], np.uint8)
-                )
+        self._images = EmissionTable(_emission(images[s], target) for s in source)
 
     def image(self, label: str) -> FiniteWord:
         return FiniteWord(self.target, self._images[self.source.index(label)])
 
     def image_lengths(self) -> np.ndarray:
-        return np.array([img.shape[0] for img in self._images], np.int64)
+        return self._images.lengths
 
     def __call__(self, w: FiniteWord) -> FiniteWord:
         return apply_homomorphism(self, w)
@@ -169,10 +143,7 @@ class Homomorphism:
 def apply_homomorphism(h: Homomorphism, w: FiniteWord) -> FiniteWord:
     if w.alphabet != h.source:
         raise AlphabetError("word is not over the homomorphism's source alphabet")
-    if len(w) == 0:
-        return FiniteWord(h.target, [])
-    out = np.concatenate([h._images[int(s)] for s in w.data])
-    return FiniteWord._wrap(h.target, out)
+    return FiniteWord._wrap(h.target, h._images.expand(w.data))
 
 
 def run_mealy(machine: MealyMachine, word: FiniteWord) -> RunTrace:
@@ -185,6 +156,7 @@ def run_mealy(machine: MealyMachine, word: FiniteWord) -> RunTrace:
         states=tuple(machine.states[int(q)] for q in states),
         output=FiniteWord._wrap(machine.output_alphabet, out),
         consumed=len(word),
+        step_lengths=np.broadcast_to(np.int64(1), out.shape),
     )
 
 
@@ -195,16 +167,12 @@ def run_transducer(machine: Transducer, word: FiniteWord) -> RunTrace:
     states, _ = _kernels.mealy_run(
         machine._next, dummy_out, machine._initial_idx, word.data
     )
-    pieces = [
-        machine._emit[int(q)][int(a)] for q, a in zip(states[:-1], word.data)
-    ]
-    out = (
-        np.concatenate(pieces) if pieces else np.empty(0, np.uint8)
-    )
+    keys = states[:-1] * len(machine.input_alphabet) + word.data
     return RunTrace(
         states=tuple(machine.states[int(q)] for q in states),
-        output=FiniteWord._wrap(machine.output_alphabet, out.astype(np.uint8)),
+        output=FiniteWord._wrap(machine.output_alphabet, machine._emit.expand(keys)),
         consumed=len(word),
+        step_lengths=machine._emit.lengths[keys],
     )
 
 
@@ -282,28 +250,22 @@ def decompose_transducer(transducer: Transducer) -> tuple[MealyMachine, Homomorp
     For every input w: h(run_mealy(F, w).output) == run_transducer(T, w).output.
     """
     reach = reachable_states(transducer)
-    pair_labels = []
     images = {}
-    for q in reach:
-        for a in transducer.input_alphabet:
-            label = f"{q},{a}"
-            pair_labels.append(label)
-            _, emitted = transducer.transition(q, a)
-            images[label] = emitted
-    pair_alphabet = Alphabet(pair_labels)
     transitions = {}
     for q in reach:
         for a in transducer.input_alphabet:
-            q2, _ = transducer.transition(q, a)
-            transitions[(q, a)] = (q2, f"{q},{a}")
+            label = f"{q},{a}"
+            # The base method returns the emitted word, also for a MealyMachine.
+            q2, images[label] = Transducer.transition(transducer, q, a)
+            transitions[(q, a)] = (q2, label)
     automaton = MealyMachine(
         transducer.input_alphabet,
-        pair_alphabet,
+        Alphabet(images),
         reach,
         transducer.initial,
         transitions,
     )
-    hom = Homomorphism(pair_alphabet, transducer.output_alphabet, images)
+    hom = Homomorphism(automaton.output_alphabet, transducer.output_alphabet, images)
     return automaton, hom
 
 
@@ -435,12 +397,8 @@ def format_machine(machine) -> str:
     ]
     for q in machine.states:
         for a in machine.input_alphabet:
-            q2, out = machine.transition(q, a)
-            if isinstance(out, FiniteWord):
-                token = out.to_text().replace(" ", "") or "-"
-            else:
-                token = out
-            lines.append(f"{q} {a} -> {q2} {token}")
+            q2, out = Transducer.transition(machine, q, a)
+            lines.append(f"{q} {a} -> {q2} {out.to_text().replace(' ', '') or '-'}")
     return "\n".join(lines) + "\n"
 
 

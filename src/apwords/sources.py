@@ -15,10 +15,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BudgetError
-from .words import Alphabet, FiniteWord, Segment
+from .errors import BoundsError, BudgetError
+from .words import Alphabet, EmissionTable, FiniteWord, Segment
 
 DEFAULT_BUDGET = 100_000_000
+
+
+def _check_index(i: int) -> None:
+    if i < 0:
+        raise BoundsError(f"symbol index must be >= 0, got {i}")
 
 
 class InfiniteWordSource:
@@ -57,6 +62,8 @@ class InfiniteWordSource:
         self._n = target
 
     def prefix_array(self, n: int) -> np.ndarray:
+        if n < 0:
+            raise ValueError(f"prefix length must be >= 0, got {n}")
         self.materialize_to(n)
         view = self._buf[:n]
         view.flags.writeable = False
@@ -67,6 +74,7 @@ class InfiniteWordSource:
 
     def symbol_at(self, i: int) -> str:
         """Label of the symbol at index i (64-bit indices accepted)."""
+        _check_index(i)
         self.materialize_to(i + 1)
         return self.alphabet.label(int(self._buf[i]))
 
@@ -89,6 +97,7 @@ class PeriodicSource(InfiniteWordSource):
         return np.tile(self.period.data, reps)[:n]
 
     def symbol_at(self, i: int) -> str:
+        _check_index(i)
         return self.period[int(i) % len(self.period)]
 
 
@@ -108,15 +117,13 @@ class MorphicSource(InfiniteWordSource):
         budget: int = DEFAULT_BUDGET,
     ):
         super().__init__(alphabet, budget)
-        self.images = {
-            s: np.asarray(img, np.uint8) for s, img in images.items()
-        }
         for s in range(len(alphabet)):
-            if s not in self.images:
+            if s not in images:
                 raise ValueError(f"no image for symbol {alphabet.label(s)!r}")
-            if self.images[s].size == 0:
+            if np.size(images[s]) == 0:
                 raise ValueError(f"empty image for symbol {alphabet.label(s)!r}")
-        seed_img = self.images[seed]
+        self._images = EmissionTable(images[s] for s in range(len(alphabet)))
+        seed_img = self._images[seed]
         if int(seed_img[0]) != seed or seed_img.size < 2:
             raise ValueError(
                 f"seed {alphabet.label(seed)!r} is not prolongable: its image "
@@ -127,5 +134,5 @@ class MorphicSource(InfiniteWordSource):
     def _prefix(self, n: int) -> np.ndarray:
         w = np.array([self.seed], np.uint8)
         while w.size < n:
-            w = np.concatenate([self.images[int(s)] for s in w])
+            w = self._images.expand(w)
         return w[:n]

@@ -213,6 +213,46 @@ def segment(w, s: Segment) -> FiniteWord:
     return w.segment(s)
 
 
+class EmissionTable:
+    """Words looked up by integer key: the emission store shared by
+    transducers, homomorphisms and morphic sources (internal).
+
+    The words are kept as rows of a zero-padded ``(keys, max_len)`` table
+    plus a mask of the valid cells, so that ``expand`` is two gathers and
+    one boolean selection, with no loop over the keys.
+    """
+
+    __slots__ = ("lengths", "_padded", "_mask", "_block")
+
+    # Cells gathered per block: bounds the temporary of ``expand`` when
+    # one emission is long.
+    BLOCK_CELLS = 1 << 20
+
+    def __init__(self, words):
+        words = [np.asarray(w, np.uint8).reshape(-1) for w in words]
+        lengths = np.array([w.shape[0] for w in words], np.int64)
+        width = int(lengths.max())
+        self._mask = np.arange(width) < lengths[:, None]
+        self._padded = np.zeros((len(words), width), np.uint8)
+        self._padded[self._mask] = np.concatenate(words)
+        for arr in (lengths, self._mask, self._padded):
+            arr.flags.writeable = False
+        self.lengths = lengths
+        self._block = max(1, self.BLOCK_CELLS // max(width, 1))
+
+    def __getitem__(self, key: int) -> np.ndarray:
+        """The word stored under ``key`` (a read-only view)."""
+        return self._padded[key, : self.lengths[key]]
+
+    def expand(self, keys: np.ndarray) -> np.ndarray:
+        """Concatenation of the words stored under ``keys``, in order."""
+        keys = np.asarray(keys)
+        n, step = keys.shape[0], self._block
+        if n <= step:
+            return self._padded[keys][self._mask[keys]]
+        return np.concatenate([self.expand(keys[i : i + step]) for i in range(0, n, step)])
+
+
 def occurrences(x: FiniteWord, w: FiniteWord) -> np.ndarray:
     """All start positions of x in w, strictly increasing, overlaps included."""
     if len(x) == 0:

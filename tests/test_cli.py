@@ -168,6 +168,16 @@ class TestRun:
         assert code == 0
         assert out.strip() == "@q0 0 @q1 1"
 
+    def test_emit_states_transducer(self, capsys, tmp_path):
+        # The empty emission of input 1 shows as a bare state marker.
+        path = tmp_path / "t.machine"
+        path.write_text(TRANSDUCER_TEXT)
+        code, out, _ = run_cli(
+            capsys, "run", "--machine", str(path), "--input", "010", "--emit-states"
+        )
+        assert code == 0
+        assert out.strip() == "@q a b @q @q a b"
+
     def test_stdin_input(self, capsys, monkeypatch, tmp_path):
         import io
 
@@ -295,3 +305,28 @@ class TestVerifyThm1:
         )
         assert code == 1
         assert "FAIL" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["stability", "--max-len", "0", "--word", "0110"],
+        ["stability", "--max-len", "3", "--word", "0"],
+        ["cut-search", "--max-len", "3", "--cuts", "5,1", "--word", "0110100110010110"],
+        ["occ", "--pattern", "10011", "--gen", "paper", "--length", "-5"],
+        ["minwindow", "--pattern", "10011", "--gen", "paper", "--length", "-5"],
+        ["window", "--pattern", "10011", "--window-length", "0", "--gen", "paper",
+         "--length", "1000"],
+        ["window", "--pattern", "10011", "--window-length", "-4", "--gen", "paper",
+         "--length", "1000"],
+    ],
+)
+def test_rejected_argument_is_usage_error(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as e:  # rejected by the argument parser
+        code = e.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "error: " in captured.err and "Traceback" not in captured.err

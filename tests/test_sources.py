@@ -4,6 +4,7 @@ import pytest
 from apwords import (
     BINARY,
     Alphabet,
+    BoundsError,
     BudgetError,
     CounterexampleFamily,
     Homomorphism,
@@ -99,3 +100,23 @@ class TestMemoization:
             src.materialize_to(n)
         fresh = CounterexampleFamily().prefix_array(10_000_000)
         assert np.array_equal(src.prefix_array(10_000_000), fresh)
+
+
+class TestNegativeArguments:
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: CounterexampleFamily().source(), thue_morse_source,
+         lambda: periodic_source(bword("011"))],
+        ids=["paper", "thue-morse", "periodic"],
+    )
+    def test_rejected_before_and_after_growth(self, make):
+        src = make()
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                src.prefix(-5)
+            with pytest.raises(ValueError):
+                src.prefix_array(-1)
+            with pytest.raises(BoundsError):
+                src.symbol_at(-1)
+            src.prefix(100)
+        assert src.prefix(0).to_text() == ""

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from apwords import (
@@ -18,6 +18,7 @@ from apwords import (
     parse_word,
     segment,
 )
+from apwords.words import EmissionTable
 from conftest import bword, naive_occurrences
 
 A2 = "1001101100011001001110011"
@@ -176,10 +177,42 @@ class TestOccurrences:
         st.text(alphabet="01", min_size=1, max_size=64),
         st.text(alphabet="01", min_size=1, max_size=6),
     )
+    @example("0" * 64, "00000")  # unary: every position survives the mask filter
+    @example("0110" * 16, "01101")  # periodic: every fourth position survives it
     @settings(max_examples=300)
     def test_matches_naive_randomized(self, wtext, xtext):
         w, x = bword(wtext), bword(xtext)
         assert occurrences(x, w).tolist() == naive_occurrences(x, w)
+
+
+class TestEmissionTable:
+    # Longer than the cells of one gather block, so each block holds one key.
+    LONG = (np.arange(EmissionTable.BLOCK_CELLS + 3) % 7).tolist()
+
+    @given(
+        st.lists(st.lists(st.integers(0, 255), max_size=5), min_size=1, max_size=6),
+        st.lists(st.integers(0, 10**6), max_size=300),
+        st.booleans(),
+    )
+    @example([[1, 2], [3]], [], False)  # no keys
+    @example([[], []], [0, 1, 1, 0], False)  # every emission empty
+    @example([[], [5, 6, 7]], [2, 0, 1, 2, 1], True)  # several gather blocks
+    @settings(max_examples=200, deadline=None)
+    def test_expand_matches_concatenation(self, rows, picks, with_long):
+        if with_long:
+            # Few picks, so that the long word is expanded only a few times.
+            rows, picks = [*rows, self.LONG], picks[:20]
+        words = [np.array(r, np.uint8) for r in rows]
+        keys = np.array([p % len(words) for p in picks], np.int64)
+        table = EmissionTable(words)
+        out = table.expand(keys)
+        assert out.dtype == np.uint8
+        assert np.array_equal(
+            out, np.concatenate([np.empty(0, np.uint8), *(words[k] for k in keys)])
+        )
+        assert table.lengths.tolist() == [w.shape[0] for w in words]
+        for k, w in enumerate(words):
+            assert np.array_equal(table[k], w)
 
 
 class TestConcat:
