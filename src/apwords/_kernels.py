@@ -1,15 +1,18 @@
 """Hot inner loops: occurrence scanning and machine runs.
 
-Two implementations live side by side:
+Each kernel has one entry point, ``find_occurrences`` and ``mealy_run``.
+With numba installed (the optional ``jit`` extra) and the environment
+variable ``APWORDS_NO_NUMBA`` not set to ``1`` before import, they are
+``@njit`` compilations of the sequential loops below.  Otherwise they are
 
-* numba ``@njit`` kernels, used when numba is installed (the optional
-  ``jit`` extra), and
-* a pure numpy / Python fallback, used otherwise or when the environment
-  variable ``APWORDS_NO_NUMBA=1`` is set before import.
-
-Both are exercised by the test suite.
+* ``occurrences_numpy``, a vectorized candidate-filter scan, and
+* ``mealy_run_numpy``: the blocked two-pass run of Mytkowicz, Musuvathi and
+  Schulte ("Data-Parallel Finite-State Machines", ASPLOS 2014), vectorized
+  over blocks and states, for machines of at most ``BLOCKED_MAX_STATES``
+  states, and the sequential loop, in plain Python, for wider ones.
 """
 
+import math
 import os
 
 import numpy as np
@@ -82,13 +85,79 @@ def occurrences_numpy(text, pattern):
     return cand.astype(np.int64)
 
 
-def mealy_run_python(next_state, out_symbol, initial, inp):
-    """Un-jitted machine run (fallback path)."""
-    states = np.empty(inp.shape[0] + 1, np.int32)
+# Pass 1 of the blocked run costs |Q| gathers per symbol, the loop one
+# Python-level step per symbol.  On random binary machines and 5*10^5
+# symbols (2 vCPU, numpy 2.4) the blocked run took 21 ms at 16 states and
+# 74 ms at 64, against 0.30-0.34 s for the loop; the 4096-state delay
+# machine of a 12-symbol word took 3.2 s on 2*10^5 symbols, against 0.15 s.
+BLOCKED_MAX_STATES = 64
+
+
+def mealy_run_numpy(next_state, out_symbol, initial, inp):
+    """Machine run without numba: blocked for narrow machines, else a loop.
+
+    Returns the states visited (``int32[n + 1]``, starting at ``initial``)
+    and the output symbols (``uint8[n]``).
+    """
+    n = inp.shape[0]
+    nq, na = next_state.shape
+    if nq > BLOCKED_MAX_STATES:
+        states = np.empty(n + 1, np.int32)
+        states[0] = initial
+        out = np.empty(n, np.uint8)
+        _mealy_scan(next_state, out_symbol, initial, inp, states, out)
+        return states, out
+    # A block of length L costs about five numpy calls per symbol of the
+    # block (passes 1 and 2) and the n/L blocks one link step each; the
+    # square root balances the two (L = 176 at 5*10^5 symbols).
+    length = max(1, math.isqrt(n // 16))
+    blocks = -(-n // length)
+    size = blocks * length
+    text = inp
+    if size != n:
+        # The padding symbols run through the last block; their states and
+        # outputs fall outside the views returned.
+        text = np.zeros(size, np.uint8)
+        text[:n] = inp
+    text = text.reshape(blocks, length)
+    # A state q is carried as q * |A|, so that one step is an add of the
+    # input symbol and one gather.  The indices are in range by
+    # construction; mode="clip" skips the bounds check's buffered copy.
+    step = next_state.astype(np.intp).ravel() * na
+    emit = out_symbol.ravel()
+
+    # Pass 1: run every block from every state; lanes[q, b] ends as the
+    # state (times |A|) that block b ends in when it starts in q.
+    lanes = np.repeat(np.arange(nq, dtype=np.intp)[:, None] * na, blocks, axis=1)
+    keys = np.empty_like(lanes)
+    for j in range(length):
+        np.add(lanes, text[:, j], out=keys)
+        np.take(step, keys, out=lanes, mode="clip")
+
+    # Link: the real entry state of each block, in block order.
+    lanes //= na
+    ends = memoryview(lanes)
+    entry = []
+    q = initial
+    for b in range(blocks):
+        entry.append(q)
+        q = ends[q, b]
+
+    # Pass 2: replay every block from its entry state.
+    states = np.empty(size + 1, np.int32)
     states[0] = initial
-    out = np.empty(inp.shape[0], np.uint8)
-    _mealy_scan(next_state, out_symbol, initial, inp, states, out)
-    return states, out
+    out = np.empty(size, np.uint8)
+    by_block = states[1:].reshape(blocks, length)
+    out_by_block = out.reshape(blocks, length)
+    current = np.array(entry, np.intp) * na
+    keys = keys[0]
+    for j in range(length):
+        np.add(current, text[:, j], out=keys)
+        np.take(emit, keys, out=out_by_block[:, j], mode="clip")
+        np.take(step, keys, out=current, mode="clip")
+        by_block[:, j] = current
+    states[1:] //= na
+    return states[: n + 1], out[:n]
 
 
 occurrences_numba = None
@@ -123,4 +192,4 @@ if NUMBA_ENABLED:
     mealy_run = mealy_run_numba
 else:
     find_occurrences = occurrences_numpy
-    mealy_run = mealy_run_python
+    mealy_run = mealy_run_numpy

@@ -72,16 +72,34 @@ class _TamperedFamily(CounterexampleFamily):
         return arr
 
 
+def _not_in_alphabet(label: str, pos: int, alphabet: Alphabet) -> AlphabetError:
+    return AlphabetError(
+        f"symbol {label!r} at position {pos} is not in alphabet "
+        f"{' '.join(alphabet.labels)}"
+    )
+
+
 def _word_for_alphabet(text: str, alphabet: Alphabet) -> FiniteWord:
     """Parse a word, reporting the offending symbol and its position."""
     tokens = list(text.strip()) if alphabet.single_char else text.split()
     for pos, tok in enumerate(tokens):
         if tok not in alphabet:
-            raise AlphabetError(
-                f"symbol {tok!r} at position {pos} is not in alphabet "
-                f"{' '.join(alphabet.labels)}"
-            )
+            raise _not_in_alphabet(tok, pos, alphabet)
     return FiniteWord(alphabet, [alphabet.index(t) for t in tokens])
+
+
+def _relabel(word: FiniteWord, alphabet: Alphabet) -> FiniteWord:
+    """``word`` mapped label by label onto ``alphabet``, reporting the first
+    symbol that ``alphabet`` lacks and its position."""
+    lut = np.array(
+        [alphabet.index(s) if s in alphabet else -1 for s in word.alphabet], np.int16
+    )
+    data = lut[word.data]
+    missing = np.flatnonzero(data < 0)
+    if missing.size:
+        pos = int(missing[0])
+        raise _not_in_alphabet(word[pos], pos, alphabet)
+    return FiniteWord._wrap(alphabet, data.astype(np.uint8))
 
 
 def _build_source(spec: str, tau_file=None):
@@ -125,6 +143,11 @@ def _input_word(args, parser) -> FiniteWord:
     if args.word_file is not None:
         with open(args.word_file, "r", encoding="utf-8") as fh:
             return parse_word(fh.read())
+    return _generated_word(args, parser)
+
+
+def _generated_word(args, parser) -> FiniteWord:
+    """The ``--length`` prefix of the ``--gen`` word."""
     if args.length is None:
         parser.error("--gen needs --length")
     if args.length < 0:
@@ -213,13 +236,10 @@ def cmd_run(args, parser):
     else:
         machine = delay_prepend_automaton(parse_word(args.delay_prepend))
     if args.gen is not None:
-        if args.length is None:
-            parser.error("--gen needs --length")
-        src = _build_source(args.gen)
-        word = src.prefix(args.length)
+        word = _generated_word(args, parser)
         if word.alphabet != machine.input_alphabet:
-            # Re-map by label; the generated alphabet may be a sub-alphabet.
-            word = _word_for_alphabet(word.to_text(), machine.input_alphabet)
+            # The generated alphabet may be a sub-alphabet of the machine's.
+            word = _relabel(word, machine.input_alphabet)
     else:
         if args.input is not None:
             text = args.input
@@ -237,7 +257,7 @@ def cmd_run(args, parser):
         # Each step's "@state" marker goes before the symbols that step emitted.
         labels = np.array(machine.output_alphabet.labels, object)[trace.output.data]
         starts = np.cumsum(trace.step_lengths) - trace.step_lengths
-        marks = "@" + np.array(trace.states[:-1], object)
+        marks = "@" + np.array(machine.states, object)[trace.state_index[:-1]]
         print(" ".join(np.insert(labels, starts, marks).tolist()))
     else:
         print(trace.output.to_text())

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -22,17 +23,40 @@ FINITE_SO_FAR = "finite-so-far"
 UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunTrace:
     """States visited (starting at the initial state), output, symbols read.
 
-    ``step_lengths[i]`` is the number of output symbols emitted by step i.
+    ``state_index`` holds the states visited as indices into
+    ``state_labels``; ``states``, the tuple of their labels, is built on
+    first access.  ``step_lengths[i]`` is the number of output symbols
+    emitted by step i.  Two traces are equal when their states, outputs and
+    symbol counts are.
     """
 
-    states: tuple[str, ...]
+    state_labels: tuple[str, ...] = field(repr=False)
+    state_index: np.ndarray = field(repr=False)
     output: FiniteWord
     consumed: int
-    step_lengths: np.ndarray = field(compare=False, repr=False)
+    step_lengths: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        self.state_index.flags.writeable = False
+
+    @cached_property
+    def states(self) -> tuple[str, ...]:
+        return tuple(np.array(self.state_labels, object)[self.state_index].tolist())
+
+    def _key(self):
+        return self.states, self.output, self.consumed
+
+    def __eq__(self, other):
+        if not isinstance(other, RunTrace):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 def _state_label(alphabet: Alphabet, indices) -> str:
@@ -153,7 +177,8 @@ def run_mealy(machine: MealyMachine, word: FiniteWord) -> RunTrace:
         machine._next, machine._out, machine._initial_idx, word.data
     )
     return RunTrace(
-        states=tuple(machine.states[int(q)] for q in states),
+        state_labels=machine.states,
+        state_index=states,
         output=FiniteWord._wrap(machine.output_alphabet, out),
         consumed=len(word),
         step_lengths=np.broadcast_to(np.int64(1), out.shape),
@@ -169,7 +194,8 @@ def run_transducer(machine: Transducer, word: FiniteWord) -> RunTrace:
     )
     keys = states[:-1] * len(machine.input_alphabet) + word.data
     return RunTrace(
-        states=tuple(machine.states[int(q)] for q in states),
+        state_labels=machine.states,
+        state_index=states,
         output=FiniteWord._wrap(machine.output_alphabet, machine._emit.expand(keys)),
         consumed=len(word),
         step_lengths=machine._emit.lengths[keys],

@@ -289,10 +289,13 @@ def parse_word(text: str, alphabet: Alphabet | None = None) -> FiniteWord:
             raise FormatError("empty alphabet header", line=1)
         alphabet = Alphabet(labels)
         lines = lines[1:]
-    body = "\n".join(lines)
-    if alphabet is None:
-        alphabet = Alphabet(sorted(set(body.split() if " " in body.strip() else body.strip())))
+    # A word may be wrapped over several lines; the lines are concatenated.
+    lines = [ln.strip() for ln in lines]
+    spaced = any(" " in ln for ln in lines)
+    body = " ".join(lines) if spaced else "".join(lines)
     try:
+        if alphabet is None:
+            alphabet = Alphabet(sorted(set(body.split() if spaced else body)))
         return FiniteWord.from_text(alphabet, body)
     except AlphabetError as e:
         raise FormatError(str(e)) from e

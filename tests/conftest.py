@@ -25,3 +25,14 @@ def naive_occurrences(x, w):
     return [
         i for i in range(n - m + 1) if bool(np.array_equal(wd[i : i + m], xd))
     ]
+
+
+def naive_mealy_run(next_state, out_symbol, initial, inp):
+    """Step-by-step machine run (oracle for the machine-run kernel): in state
+    q on symbol a, emit out_symbol[q, a] and move to next_state[q, a]."""
+    states, out = [int(initial)], []
+    for a in inp.tolist():
+        q = states[-1]
+        out.append(int(out_symbol[q, a]))
+        states.append(int(next_state[q, a]))
+    return np.array(states, np.int32), np.array(out, np.uint8)

@@ -118,6 +118,13 @@ class TestScanCommands:
         )
         assert code == 3
 
+    def test_occ_on_wrapped_word_file(self, capsys, tmp_path):
+        path = tmp_path / "w.txt"
+        path.write_text("0101\n0101\n")
+        code, out, _ = run_cli(capsys, "occ", "--pattern", "01", "--word-file", str(path))
+        assert code == 0
+        assert out.split() == ["0", "2", "4", "6"]
+
     def test_empty_pattern(self, capsys):
         code, _, err = run_cli(capsys, "occ", "--pattern", "", "--word", "10011")
         assert code == 2
@@ -196,6 +203,15 @@ class TestRun:
         )
         assert code == 4
         assert "'x'" in err and "position 2" in err
+
+    def test_generated_symbol_missing_from_machine(self, capsys):
+        code, _, err = run_cli(
+            capsys,
+            "run", "--delay-prepend", "01",
+            "--gen", "periodic:012", "--length", "7",
+        )
+        assert code == 4
+        assert "'2'" in err and "position 2" in err
 
     def test_parse_error_reports_line(self, capsys, tmp_path):
         path = tmp_path / "bad.machine"
@@ -330,3 +346,14 @@ def test_rejected_argument_is_usage_error(capsys, argv):
     assert code == 2
     assert captured.out == ""
     assert "error: " in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "verb", [["occ", "--pattern", "1"], ["run", "--delay-prepend", "01"]]
+)
+def test_negative_gen_length_is_parser_error(capsys, verb):
+    # Every verb that takes --gen checks --length the same way.
+    with pytest.raises(SystemExit) as exc:
+        main([*verb, "--gen", "periodic:1", "--length", "-3"])
+    assert exc.value.code == 2
+    assert "--length must be >= 0" in capsys.readouterr().err

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from apwords import (
@@ -27,7 +27,8 @@ from apwords import (
     run_transducer,
     thue_morse_source,
 )
-from conftest import bword
+from apwords import _kernels
+from conftest import bword, naive_mealy_run
 
 
 def identity_machine():
@@ -98,6 +99,14 @@ class TestRunMealy:
         assert trace.output.to_text() == "0100"
         assert trace.states == ("0", "1", "0", "0", "1")
 
+    def test_trace_equality_and_state_index(self):
+        m = toggle_machine()
+        trace = run_mealy(m, bword("1101"))
+        same = run_mealy(m, bword("1101"))
+        assert trace == same and hash(trace) == hash(same)
+        assert trace != run_mealy(m, bword("1100"))
+        assert trace.state_index.tolist() == [0, 1, 0, 0, 1]
+
     def test_empty_input(self):
         trace = run_mealy(toggle_machine(), BINARY.word(""))
         assert len(trace.output) == 0
@@ -123,6 +132,49 @@ class TestRunMealy:
         part = run_mealy(m, w[:40])
         assert part.states == full.states[:41]
         assert part.output == full.output[:40]
+
+
+class TestMealyKernel:
+    """The machine-run kernel against the step-by-step oracle, on both sides
+    of the blocked run's state-count limit (64)."""
+
+    @given(
+        nq=st.integers(1, 80),
+        na=st.integers(1, 4),
+        n=st.integers(0, 3000),
+        counter=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(nq=1, na=2, n=1000, counter=False, seed=0)  # one state
+    @example(nq=7, na=1, n=999, counter=False, seed=1)  # unary input
+    @example(nq=64, na=2, n=3000, counter=True, seed=2)  # widest blocked counter
+    @example(nq=65, na=2, n=3000, counter=True, seed=3)  # narrowest looped counter
+    # Block boundaries: 1600 symbols are 160 blocks of 10, 1601 leave one
+    # symbol in the last block, 1599 are 178 blocks of 9 with 6 in the last.
+    @example(nq=5, na=2, n=1600, counter=False, seed=4)
+    @example(nq=5, na=2, n=1601, counter=False, seed=5)
+    @example(nq=5, na=2, n=1599, counter=True, seed=6)
+    @example(nq=3, na=3, n=16, counter=False, seed=7)
+    @example(nq=3, na=3, n=0, counter=False, seed=8)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_naive(self, nq, na, n, counter, seed):
+        rng = np.random.default_rng(seed)
+        if counter:
+            # Counts the input symbols' sum modulo nq: a permutation per
+            # symbol, so no two lanes of the blocked run ever merge.
+            next_state = (np.arange(nq)[:, None] + np.arange(na)) % nq
+        else:
+            next_state = rng.integers(0, nq, (nq, na))
+        next_state = next_state.astype(np.int32)
+        out_symbol = rng.integers(0, 256, (nq, na)).astype(np.uint8)
+        initial = int(rng.integers(nq))
+        inp = rng.integers(0, na, n).astype(np.uint8)
+        want_states, want_out = naive_mealy_run(next_state, out_symbol, initial, inp)
+        for kernel in {_kernels.mealy_run, _kernels.mealy_run_numpy}:
+            states, out = kernel(next_state, out_symbol, initial, inp)
+            assert states.dtype == np.int32 and out.dtype == np.uint8
+            assert np.array_equal(states, want_states)
+            assert np.array_equal(out, want_out)
 
 
 class TestMealyStream:

@@ -10,6 +10,7 @@ from apwords import (
     BoundsError,
     EmptyPatternError,
     FiniteWord,
+    FormatError,
     Segment,
     bar,
     concat,
@@ -246,3 +247,17 @@ class TestSerialization:
         w = parse_word("0110")
         assert w.alphabet == BINARY
         assert w.to_text() == "0110"
+
+    @pytest.mark.parametrize(
+        "text", ["0101\n0101", "0101\n0101\n", "alphabet: 0 1\n0101\n0101\n"]
+    )
+    def test_wrapped_word_lines_concatenate(self, text):
+        assert parse_word(text) == bword("01010101")
+
+    def test_wrapped_multichar_word(self):
+        a = Alphabet(("lo", "hi"))
+        assert parse_word("alphabet: lo hi\nhi lo\nhi\n") == a.word("hi lo hi")
+
+    def test_whitespace_symbol_is_format_error(self):
+        with pytest.raises(FormatError):
+            parse_word("01\t10")
