@@ -2,7 +2,6 @@
 empirical recurrence analysis, and finite automaton / transducer /
 homomorphism mappings."""
 
-from ._kernels import NUMBA_ENABLED
 from .analysis import (
     RegulatorReport,
     StabilityEntry,
@@ -69,3 +68,6 @@ from .words import (
 )
 
 __version__ = "0.1.0"
+
+# The kernels are numpy code only; numba is not used.
+NUMBA_ENABLED = False

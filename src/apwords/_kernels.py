@@ -1,69 +1,26 @@
 """Hot inner loops: occurrence scanning and machine runs.
 
-Each kernel has one entry point, ``find_occurrences`` and ``mealy_run``.
-With numba installed (the optional ``jit`` extra) and the environment
-variable ``APWORDS_NO_NUMBA`` not set to ``1`` before import, they are
-``@njit`` compilations of the sequential loops below.  Otherwise they are
+One implementation per kernel:
 
-* ``occurrences_numpy``, a vectorized candidate-filter scan, and
-* ``mealy_run_numpy``: the blocked two-pass run of Mytkowicz, Musuvathi and
+* ``find_occurrences``, a vectorized candidate-filter scan, and
+* ``mealy_run``: the blocked two-pass run of Mytkowicz, Musuvathi and
   Schulte ("Data-Parallel Finite-State Machines", ASPLOS 2014), vectorized
   over blocks and states, for machines of at most ``BLOCKED_MAX_STATES``
   states, and the sequential loop, in plain Python, for wider ones.
 """
 
 import math
-import os
 
 import numpy as np
 
-NUMBA_REQUESTED = os.environ.get("APWORDS_NO_NUMBA", "") != "1"
 
+def find_occurrences(text, pattern):
+    """All (overlapping) occurrence starts of ``pattern`` in ``text``.
 
-def _kmp_scan(text, pattern, out):
-    # Knuth-Morris-Pratt, all (overlapping) occurrences.  Writes start
-    # positions into `out` and returns the count; at most |text|+|pattern|
-    # symbol comparisons per phase.
-    m = pattern.shape[0]
-    n = text.shape[0]
-    fail = np.zeros(m, np.int64)
-    k = 0
-    for i in range(1, m):
-        while k > 0 and pattern[i] != pattern[k]:
-            k = fail[k - 1]
-        if pattern[i] == pattern[k]:
-            k += 1
-        fail[i] = k
-    count = 0
-    j = 0
-    for i in range(n):
-        while j > 0 and text[i] != pattern[j]:
-            j = fail[j - 1]
-        if text[i] == pattern[j]:
-            j += 1
-        if j == m:
-            out[count] = i - m + 1
-            count += 1
-            j = fail[j - 1]
-    return count
-
-
-def _mealy_scan(next_state, out_symbol, initial, inp, states, out):
-    # Sequential automaton run; states[0] == initial on entry.
-    q = initial
-    for i in range(inp.shape[0]):
-        a = inp[i]
-        out[i] = out_symbol[q, a]
-        q = next_state[q, a]
-        states[i + 1] = q
-    return q
-
-
-def occurrences_numpy(text, pattern):
-    """Vectorized candidate-filter scan (fallback path).
-
-    Expected linear for non-degenerate inputs: each position survives the
-    filter for symbol j only if the first j symbols already matched.
+    A position survives the filter for symbol j only if its first j
+    symbols matched, so the cost is O(n*m) in the worst case: 0^1000 in
+    0^(10^6) keeps every candidate for all 1000 symbols and takes 8.0 s
+    (2 vCPU, numpy 2.4).
     """
     n = text.shape[0]
     m = pattern.shape[0]
@@ -87,14 +44,15 @@ def occurrences_numpy(text, pattern):
 
 # Pass 1 of the blocked run costs |Q| gathers per symbol, the loop one
 # Python-level step per symbol.  On random binary machines and 5*10^5
-# symbols (2 vCPU, numpy 2.4) the blocked run took 21 ms at 16 states and
-# 74 ms at 64, against 0.30-0.34 s for the loop; the 4096-state delay
-# machine of a 12-symbol word took 3.2 s on 2*10^5 symbols, against 0.15 s.
+# symbols (2 vCPU, numpy 2.4) the blocked run took 26 ms at 16 states,
+# 51 ms at 32 and 95 ms at 64, the loop 54-62 ms at any width.  The
+# 4096-state delay machine of a 12-symbol word takes 3.2 s blocked on
+# 2*10^5 symbols, 0.025 s looped.
 BLOCKED_MAX_STATES = 64
 
 
-def mealy_run_numpy(next_state, out_symbol, initial, inp):
-    """Machine run without numba: blocked for narrow machines, else a loop.
+def mealy_run(next_state, out_symbol, initial, inp):
+    """Machine run: blocked for narrow machines, else a loop.
 
     Returns the states visited (``int32[n + 1]``, starting at ``initial``)
     and the output symbols (``uint8[n]``).
@@ -102,11 +60,16 @@ def mealy_run_numpy(next_state, out_symbol, initial, inp):
     n = inp.shape[0]
     nq, na = next_state.shape
     if nq > BLOCKED_MAX_STATES:
-        states = np.empty(n + 1, np.int32)
-        states[0] = initial
-        out = np.empty(n, np.uint8)
-        _mealy_scan(next_state, out_symbol, initial, inp, states, out)
-        return states, out
+        # Python lists index about four times faster than numpy arrays one
+        # element at a time; the outputs are one gather afterwards.
+        step = next_state.tolist()
+        q = int(initial)
+        states = [q]
+        for a in inp.tolist():
+            q = step[q][a]
+            states.append(q)
+        states = np.array(states, np.int32)
+        return states, out_symbol[states[:-1], inp]
     # A block of length L costs about five numpy calls per symbol of the
     # block (passes 1 and 2) and the n/L blocks one link step each; the
     # square root balances the two (L = 176 at 5*10^5 symbols).
@@ -160,36 +123,5 @@ def mealy_run_numpy(next_state, out_symbol, initial, inp):
     return states[: n + 1], out[:n]
 
 
-occurrences_numba = None
-mealy_run_numba = None
-
-if NUMBA_REQUESTED:
-    try:
-        from numba import njit
-    except ImportError:  # numba is an optional extra
-        njit = None
-    if njit is not None:
-        _kmp_scan_jit = njit(cache=True)(_kmp_scan)
-        _mealy_scan_jit = njit(cache=True)(_mealy_scan)
-
-        def occurrences_numba(text, pattern):
-            out = np.empty(text.shape[0] + 1, np.int64)
-            count = _kmp_scan_jit(text, pattern, out)
-            return out[:count].copy()
-
-        def mealy_run_numba(next_state, out_symbol, initial, inp):
-            states = np.empty(inp.shape[0] + 1, np.int32)
-            states[0] = initial
-            out = np.empty(inp.shape[0], np.uint8)
-            _mealy_scan_jit(next_state, out_symbol, initial, inp, states, out)
-            return states, out
-
-
-NUMBA_ENABLED = occurrences_numba is not None
-
-if NUMBA_ENABLED:
-    find_occurrences = occurrences_numba
-    mealy_run = mealy_run_numba
-else:
-    find_occurrences = occurrences_numpy
-    mealy_run = mealy_run_numpy
+# Alias of ``mealy_run`` for code that imports it by this name.
+mealy_run_numpy = mealy_run

@@ -119,16 +119,17 @@ def check_window(x: FiniteWord, w: FiniteWord, window_length: int) -> int | None
     if starts.size == 0:
         return 0
     # Window [i, i+l-1] contains x iff some start p satisfies i <= p <= i+l-|x|.
+    # The windows from prev+1 on (prev the previous start, -1 before the
+    # first) are covered by the next start p only while i >= p - span, so
+    # the first uncovered one is prev+1 for the first gap p - prev > span+1.
     span = window_length - len(x)
-    prev_end = -1
-    for p in starts:
-        p = int(p)
-        first_bad = prev_end + 1
-        if p - span > first_bad:
-            return first_bad
-        prev_end = p
-    if prev_end < len(w) - window_length:
-        return prev_end + 1
+    prev = np.concatenate(([-1], starts[:-1]))
+    gap = starts - prev > span + 1
+    k = int(gap.argmax())
+    if gap[k]:
+        return int(prev[k]) + 1
+    if starts[-1] < len(w) - window_length:
+        return int(starts[-1]) + 1
     return None
 
 

@@ -232,22 +232,19 @@ def delay_prepend_automaton(a: FiniteWord) -> MealyMachine:
     alph = a.alphabet
     start = tuple(int(i) for i in a.data)
     transitions = {}
-    states = []
+    # State tuple -> label, filled when the search first meets the state;
+    # its insertion order is the BFS order of the states.
+    labels = {start: _state_label(alph, start)}
     queue = deque([start])
-    seen = {start}
     while queue:
         u = queue.popleft()
-        states.append(_state_label(alph, u))
         for s in range(len(alph)):
             v = u[1:] + (s,)
-            transitions[(_state_label(alph, u), alph.label(s))] = (
-                _state_label(alph, v),
-                alph.label(u[0]),
-            )
-            if v not in seen:
-                seen.add(v)
+            if v not in labels:
+                labels[v] = _state_label(alph, v)
                 queue.append(v)
-    return MealyMachine(alph, alph, states, _state_label(alph, start), transitions)
+            transitions[(labels[u], alph.label(s))] = (labels[v], alph.label(u[0]))
+    return MealyMachine(alph, alph, labels.values(), labels[start], transitions)
 
 
 def reachable_states(machine) -> tuple[str, ...]:

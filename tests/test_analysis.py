@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from apwords import (
@@ -39,6 +39,13 @@ def oracle_min_window(x, w):
         ):
             return l
     return n
+
+
+def oracle_first_violation(x, w, l):
+    """Smallest start of a length-l window of w without an occurrence of x,
+    by substring search over every window; None when there is none."""
+    xs, ws = x.to_text(), w.to_text()
+    return next((i for i in range(len(ws) - l + 1) if xs not in ws[i : i + l]), None)
 
 
 class TestMinWindow:
@@ -107,6 +114,23 @@ class TestCheckWindow:
             # the returned window really lacks the pattern
             window = w[result : result + l]
             assert len(occurrences(x, window)) == 0 if len(x) <= l else True
+
+    @given(
+        wtext=st.text(alphabet="01", min_size=1, max_size=40),
+        xtext=st.text(alphabet="01", min_size=1, max_size=5),
+        l=st.integers(min_value=1, max_value=40),
+    )
+    @example(wtext="0" * 9 + "1" + "0" * 9, xtext="00", l=3)  # unary runs: 8
+    @example(wtext="0" * 20, xtext="000", l=3)  # unary, no violation
+    @example(wtext="0110" * 6, xtext="0110", l=6)  # periodic: 1
+    @example(wtext="0110" * 6, xtext="0110", l=7)  # periodic, no violation
+    @example(wtext="0110" * 6 + "1111", xtext="0110", l=7)  # periodic, tail: 21
+    @example(wtext="0101", xtext="11", l=2)  # x absent
+    @settings(max_examples=500)
+    def test_smallest_violating_start(self, wtext, xtext, l):
+        w, x = bword(wtext), bword(xtext)
+        assume(l <= len(w))
+        assert check_window(x, w, l) == oracle_first_violation(x, w, l)
 
 
 class TestRightmost:

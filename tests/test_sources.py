@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apwords import (
     BINARY,
@@ -120,3 +122,46 @@ class TestNegativeArguments:
                 src.symbol_at(-1)
             src.prefix(100)
         assert src.prefix(0).to_text() == ""
+
+
+READ_SOURCES = {
+    "periodic": lambda: periodic_source(bword("01101")),
+    "paper": lambda: CounterexampleFamily().source(),
+    "thue-morse": thue_morse_source,
+    "fibonacci": lambda: morphic_source(
+        Homomorphism(Alphabet("ab"), Alphabet("ab"), {"a": "ab", "b": "a"}), "a"
+    ),
+}
+READ_HORIZON = 5000
+
+# (kind, index or length, segment length - 1); reads stay below READ_HORIZON.
+READS = st.one_of(
+    st.tuples(st.sampled_from(["prefix", "prefix_array"]), st.integers(0, READ_HORIZON)),
+    st.tuples(st.just("symbol_at"), st.integers(0, READ_HORIZON - 1)),
+    st.tuples(st.just("segment"), st.integers(0, READ_HORIZON - 1), st.integers(0, 300)),
+)
+
+
+class TestReadOrder:
+    @given(source=st.sampled_from(sorted(READ_SOURCES)), reads=st.lists(READS, max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_reads_agree_with_one_prefix(self, source, reads):
+        """Any mix of reads, in any order, returns the symbols of one large
+        prefix of a fresh source, and an earlier result never changes."""
+        reference = READ_SOURCES[source]().prefix(READ_HORIZON)
+        src = READ_SOURCES[source]()
+        results = []
+        for kind, i, *rest in reads:
+            if kind == "prefix":
+                got, want = src.prefix(i).data, reference.data[:i]
+            elif kind == "prefix_array":
+                got, want = src.prefix_array(i), reference.data[:i]
+            elif kind == "symbol_at":
+                got, want = src.symbol_at(i), reference[i]
+            else:
+                end = min(i + rest[0], READ_HORIZON - 1)
+                got, want = src.segment(Segment(i, end)).data, reference.data[i : end + 1]
+            assert np.array_equal(got, want)
+            results.append((got, want))
+        for got, want in results:
+            assert np.array_equal(got, want)
