@@ -27,11 +27,9 @@ from .errors import (
 )
 from .generators import (
     CounterexampleFamily,
-    MorphismRules,
     load_morphism_rules,
     load_tau_table,
     morphic_source,
-    omega_source,
     periodic_source,
     tau_from_table,
     thue_morse_source,

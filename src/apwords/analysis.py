@@ -230,13 +230,16 @@ def verify_cn_absent(fam: CounterexampleFamily, n: int, horizon: int) -> bool:
 # stability reports
 
 
-def _distinct_factors(data: np.ndarray, max_length: int):
-    raw = data.tobytes()
-    n = len(raw)
-    for length in range(1, max_length + 1):
-        seen = sorted({raw[i : i + length] for i in range(n - length + 1)})
-        for f in seen:
-            yield np.frombuffer(f, np.uint8)
+def _stability_entry(alphabet, pat: np.ndarray, starts: np.ndarray, half: int, n: int):
+    """The entry of factor `pat`, with ascending `starts` in a word of length n."""
+    m = pat.shape[0]
+    in_half = starts[: int(np.searchsorted(starts, half - m, "right"))]
+    return StabilityEntry(
+        factor=FiniteWord._wrap(alphabet, pat),
+        occurrence_count=int(starts.size),
+        min_window_half=min_window_from_starts(in_half, half, m),
+        min_window_full=min_window_from_starts(starts, n, m),
+    )
 
 
 def recurrence_stability(
@@ -249,47 +252,52 @@ def recurrence_stability(
     the first half (factors first appearing late have no meaningful gap
     statistics), plus any explicitly `required` factors, which are reported
     even when absent; an absent required factor is unstable by definition.
+    They are listed by one stable sort of window keys per length, the
+    refinement step of Karp, Miller and Rosenberg (STOC 1972).
     """
     if len(w) < 2:
         raise ValueError("stability needs a word of length >= 2")
     if not 1 <= k <= MAX_FACTOR_LENGTH:
         raise ValueError(f"factor length bound must be in 1..{MAX_FACTOR_LENGTH}")
-    half = len(w) // 2
-    data = w.data
-    half_data = data[:half]
-    entries = []
-    seen = set()
-    required = tuple(required)
+    n, half, data = len(w), len(w) // 2, w.data
+    chosen = {}
     for r in required:
         if r.alphabet != w.alphabet:
             raise AlphabetError("required factor over a different alphabet")
         if len(r) == 0:
             raise EmptyPatternError("required factor must be nonempty")
-    required_keys = {r.data.tobytes() for r in required}
-    candidates = [r.data for r in required]
-    candidates.extend(
-        f for f in _distinct_factors(half_data, k) if f.tobytes() not in required_keys
-    )
-    for pat in candidates:
-        key = pat.tobytes()
-        if key in seen:
-            continue
-        seen.add(key)
-        starts_full = _kernels.find_occurrences(data, pat)
-        starts_half = starts_full[starts_full <= half - pat.shape[0]]
-        entries.append(
-            StabilityEntry(
-                factor=FiniteWord(w.alphabet, pat),
-                occurrence_count=int(starts_full.size),
-                min_window_half=min_window_from_starts(starts_half, half, pat.shape[0]),
-                min_window_full=min_window_from_starts(starts_full, len(w), pat.shape[0]),
-            )
-        )
+        chosen.setdefault(r.data.tobytes(), r.data)
+    entries = [
+        _stability_entry(w.alphabet, pat, _kernels.find_occurrences(data, pat), half, n)
+        for pat in chosen.values()
+    ]
+    sigma = len(w.alphabet)
+    # The key of the window at i is the rank of its first L-1 symbols times
+    # |A| plus its last symbol; ranks are dense, so keys stay below (n+1)|A|.
+    rank = np.zeros(n, np.int32 if (n + 1) * sigma < 2**31 else np.int64)
+    key, ordered = np.empty_like(rank), np.empty_like(rank)
+    for length in range(1, min(k, half) + 1):
+        m = n - length + 1
+        np.multiply(rank[:m], sigma, out=key[:m])
+        key[:m] += data[length - 1 :]
+        order = np.argsort(key[:m], kind="stable")  # runs of equal windows
+        np.take(key[:m], order, mode="clip", out=ordered[:m])
+        # key now marks where each run starts (1), and then holds new ranks.
+        key[0] = 1
+        np.not_equal(ordered[1:m], ordered[: m - 1], out=key[1:m])
+        heads = np.flatnonzero(key[:m])
+        rank[order] = np.cumsum(key[:m], out=key[:m])
+        bounds = heads.tolist() + [m]
+        for g in np.flatnonzero(order[heads] <= half - length).tolist():
+            starts = order[bounds[g] : bounds[g + 1]]
+            pat = data[starts[0] : starts[0] + length]
+            if pat.tobytes() not in chosen:
+                entries.append(_stability_entry(w.alphabet, pat, starts, half, n))
     entries.sort(key=lambda e: (len(e.factor), e.factor.data.tobytes()))
     return StabilityReport(
         factor_length_bound=k,
         half_length=half,
-        full_length=len(w),
+        full_length=n,
         entries=tuple(entries),
     )
 

@@ -102,25 +102,22 @@ def _relabel(word: FiniteWord, alphabet: Alphabet) -> FiniteWord:
     return FiniteWord._wrap(alphabet, data.astype(np.uint8))
 
 
-def _build_source(spec: str, tau_file=None):
+def _build_source(spec: str):
     """Build a source from a generator spec: 'paper', 'paper:TAUFILE',
     'periodic:WORD' or 'morphic:RULESFILE:SEED'."""
     kind, _, rest = spec.partition(":")
     if kind == "paper":
-        tau = None
-        if rest:
-            tau = load_tau_table(rest)
-        elif tau_file:
-            tau = load_tau_table(tau_file)
+        tau = load_tau_table(rest) if rest else None
         return CounterexampleFamily(tau=tau).source()
     if kind == "periodic":
         if not rest:
             raise FormatError("periodic spec needs a period word: periodic:WORD")
         return periodic_source(parse_word(rest))
     if kind == "morphic":
-        rules_path, _, seed = rest.partition(":")
-        if not rules_path or not seed:
-            raise FormatError("morphic spec needs morphic:RULESFILE:SEED")
+        # Seeds are one character (rule symbols are); the path may hold colons.
+        rules_path, colon, seed = rest[:-2], rest[-2:-1], rest[-1:]
+        if not rules_path or colon != ":":
+            raise FormatError("morphic spec needs morphic:RULESFILE:SEED (one-symbol SEED)")
         return morphic_source(load_morphism_rules(rules_path), seed)
     raise FormatError(f"unknown generator family {kind!r}")
 
@@ -171,15 +168,16 @@ def _add_word_input(parser):
 
 def cmd_gen(args, parser):
     if args.family == "paper":
-        src = _build_source("paper", tau_file=args.tau_file)
+        tau = load_tau_table(args.tau_file) if args.tau_file else None
+        src = CounterexampleFamily(tau=tau).source()
     elif args.family == "periodic":
         if not args.word:
             parser.error("--family periodic needs --word")
-        src = _build_source("periodic:" + args.word)
+        src = periodic_source(parse_word(args.word))
     else:
         if not args.rules or not args.seed:
             parser.error("--family morphic needs --rules and --seed")
-        src = _build_source(f"morphic:{args.rules}:{args.seed}")
+        src = morphic_source(load_morphism_rules(args.rules), args.seed)
     n = args.length
     if n < 1:
         parser.error("--length must be >= 1")
@@ -200,7 +198,11 @@ def cmd_occ(args, parser):
     if len(x) == 0:
         raise EmptyPatternError("pattern must be nonempty")
     starts = occurrences(x, w)
-    print(" ".join(str(int(p)) for p in starts))
+    # Joined 2^16 starts at a time: one join over all of them would hold
+    # every int and every str at once (76 MB more for 10^6 starts).
+    step = CHUNK >> 4
+    pieces = (starts[i : i + step].tolist() for i in range(0, starts.size, step))
+    print(" ".join(" ".join(map(str, p)) for p in pieces))
     return EXIT_OK
 
 

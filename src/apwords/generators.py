@@ -23,10 +23,6 @@ from .words import BINARY, Alphabet, FiniteWord
 MAX_LEVEL = 16
 ALLOWED_REPEATS = (9, 10)
 
-# Alias view: morphism rules used as generator seeds are ordinary
-# homomorphisms whose source and target alphabets coincide.
-MorphismRules = Homomorphism
-
 
 class CounterexampleFamily:
     """Caches the blocks a_n and block-start indices l_n for a given tau."""
@@ -148,10 +144,6 @@ class OmegaSource(InfiniteWordSource):
 
     def _prefix(self, n: int) -> np.ndarray:
         return self.family.prefix_array(n)
-
-
-def omega_source(family: CounterexampleFamily) -> OmegaSource:
-    return family.source()
 
 
 def periodic_source(period: FiniteWord, budget: int = DEFAULT_BUDGET) -> PeriodicSource:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from apwords import BINARY, Alphabet, CounterexampleFamily, FiniteWord
+from apwords.analysis import min_window_from_starts
 
 
 @pytest.fixture
@@ -36,3 +37,40 @@ def naive_mealy_run(next_state, out_symbol, initial, inp):
         out.append(int(out_symbol[q, a]))
         states.append(int(next_state[q, a]))
     return np.array(states, np.int32), np.array(out, np.uint8)
+
+
+def naive_stability(w, k, required=()):
+    """Stability rows (factor text, count, min window over the first half,
+    over all of w) from the definition (oracle for recurrence_stability):
+    the distinct factors of length <= k of the first half, listed as
+    strings, plus the required factors; starts by naive_occurrences,
+    windows by min_window_from_starts."""
+    n, half = len(w), len(w) // 2
+    head = w[:half].to_text()
+    texts = {head[i : i + m] for m in range(1, k + 1) for i in range(half - m + 1)}
+    texts |= {r.to_text() for r in required}
+    rows = []
+    for text in texts:
+        x = FiniteWord.from_text(w.alphabet, text)
+        starts = np.array(naive_occurrences(x, w), np.int64)
+        in_half = starts[starts + len(x) <= half]
+        rows.append(
+            (
+                text,
+                len(starts),
+                min_window_from_starts(in_half, half, len(x)),
+                min_window_from_starts(starts, n, len(x)),
+            )
+        )
+    rows.sort(key=lambda row: (len(row[0]), [w.alphabet.index(c) for c in row[0]]))
+    return rows
+
+
+def naive_cut_search(w, k, cuts, required=()):
+    """Smallest cut whose suffix has only stable rows in naive_stability
+    (oracle for eap_cut_search); None when there is none."""
+    for c in cuts:
+        rows = naive_stability(w[c:], k, required)
+        if all(half is not None and half == full for _, _, half, full in rows):
+            return c
+    return None

@@ -22,7 +22,7 @@ from apwords import (
     verify_cn_absent,
     verify_pair_containment,
 )
-from conftest import bword
+from conftest import bword, naive_cut_search, naive_stability
 
 
 def oracle_min_window(x, w):
@@ -254,6 +254,49 @@ class TestStability:
             "stable",
         ]
         assert lines[1].split("\t") == ["a", "3", "1", "2", "no"]
+
+
+WORD_CASES = st.one_of(
+    st.integers(2, 40).map(lambda n: ("a", "a" * n)),
+    st.tuples(
+        st.text("ab", max_size=3), st.text("ab", min_size=1, max_size=4), st.integers(2, 40)
+    ).map(lambda t: ("ab", (t[0] + t[1] * t[2])[: t[2]])),
+    st.integers(2, 40).map(lambda n: ("01", thue_morse_source().prefix(n).to_text())),
+    st.text("abc", min_size=2, max_size=40).map(lambda t: ("abc", t)),
+)
+
+
+@st.composite
+def stability_cases(draw):
+    """(labels, word, required factors, cuts): unary, periodic (after a
+    short foreign prefix), Thue-Morse and 3-letter words."""
+    labels, text = draw(WORD_CASES)
+    required = draw(st.lists(st.text(labels, min_size=1, max_size=len(text) + 3), max_size=3))
+    cuts = sorted(draw(st.sets(st.integers(0, (len(text) - 1) // 2), min_size=1, max_size=3)))
+    return labels, text, required, cuts
+
+
+class TestStabilityOracle:
+    @given(case=stability_cases(), k=st.integers(1, 13))
+    @example(case=("ab", "abababab", ["bb"], [0]), k=2)  # required factor absent
+    @example(case=("01", "0110100110010110", ["0110100"], [0, 3]), k=3)  # longer than k
+    @example(case=("ab", "abab", ["ababab"], [0, 1]), k=2)  # longer than the word
+    @example(case=("ab", "aabab", ["ab", "ab", "b"], [0, 1]), k=2)  # duplicated, listed
+    @example(case=("a", "a" * 9, ["a" * 10, "aa"], [0, 4]), k=13)  # unary, k > half
+    @example(case=("abc", "cabcabcab", [], [0, 1, 2]), k=4)  # periodic after a cut
+    @settings(max_examples=150, deadline=None)
+    def test_matches_definition(self, case, k):
+        labels, text, required, cuts = case
+        alphabet = Alphabet(labels)
+        w = alphabet.word(text)
+        req = [alphabet.word(r) for r in required]
+        report = recurrence_stability(w, k, required=req)
+        rows = [
+            (e.factor.to_text(), e.occurrence_count, e.min_window_half, e.min_window_full)
+            for e in report.entries
+        ]
+        assert rows == naive_stability(w, k, req)
+        assert eap_cut_search(w, k, cuts, required=req) == naive_cut_search(w, k, cuts, req)
 
 
 class TestCutSearch:

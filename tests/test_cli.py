@@ -41,6 +41,22 @@ class TestGen:
         assert code == 0
         assert out == "01101001\n"
 
+    def test_rules_path_with_colon(self, capsys, tmp_path):
+        folder = tmp_path / "a:b"
+        folder.mkdir()
+        rules = folder / "tm.rules"
+        rules.write_text("0 -> 01\n1 -> 10\n")
+        code, out, _ = run_cli(
+            capsys,
+            "gen", "--family", "morphic", "--rules", str(rules),
+            "--seed", "0", "--length", "8",
+        )
+        assert (code, out) == (0, "01101001\n")
+        code, out, _ = run_cli(
+            capsys, "occ", "--pattern", "11", "--gen", f"morphic:{rules}:0", "--length", "16"
+        )
+        assert (code, out) == (0, "1 7 13\n")
+
     def test_tau_file(self, capsys, tmp_path):
         tau = tmp_path / "tau.txt"
         tau.write_text("9\n")
@@ -117,6 +133,13 @@ class TestScanCommands:
             "--word", "10011",
         )
         assert code == 3
+
+    def test_occ_starts_span_several_slices(self, capsys):
+        n = 2 * 2**16 + 5
+        code, out, _ = run_cli(
+            capsys, "occ", "--pattern", "0", "--gen", "periodic:0", "--length", str(n)
+        )
+        assert (code, out) == (0, " ".join(map(str, range(n))) + "\n")
 
     def test_occ_on_wrapped_word_file(self, capsys, tmp_path):
         path = tmp_path / "w.txt"
