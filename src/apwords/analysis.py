@@ -252,8 +252,9 @@ def recurrence_stability(
     the first half (factors first appearing late have no meaningful gap
     statistics), plus any explicitly `required` factors, which are reported
     even when absent; an absent required factor is unstable by definition.
-    They are listed by one stable sort of window keys per length, the
-    refinement step of Karp, Miller and Rosenberg (STOC 1972).
+    They are listed by one sort of window keys per length over the first
+    half, the refinement step of Karp, Miller and Rosenberg (STOC 1972);
+    each factor is then scanned once over all of w.
     """
     if len(w) < 2:
         raise ValueError("stability needs a word of length >= 2")
@@ -267,32 +268,25 @@ def recurrence_stability(
         if len(r) == 0:
             raise EmptyPatternError("required factor must be nonempty")
         chosen.setdefault(r.data.tobytes(), r.data)
+    sigma = len(w.alphabet)
+    # The key of the window at i is the dense rank of its first L-1 symbols
+    # times |A| plus its last symbol, so equal keys mean equal windows.
+    rank = np.zeros(half, np.int32 if (half + 1) * sigma < 2**31 else np.int64)
+    head = np.empty(half, bool)
+    for length in range(1, min(k, half) + 1):
+        m = half - length + 1
+        key = rank[:m] * sigma + data[length - 1 : half]
+        order = np.argsort(key)
+        key = key[order]
+        head[0] = True
+        np.not_equal(key[1:], key[:-1], out=head[1:m])
+        for s in order[head[:m]].tolist():
+            chosen.setdefault(data[s : s + length].tobytes(), data[s : s + length])
+        rank[order] = np.cumsum(head[:m], dtype=rank.dtype)
     entries = [
         _stability_entry(w.alphabet, pat, _kernels.find_occurrences(data, pat), half, n)
         for pat in chosen.values()
     ]
-    sigma = len(w.alphabet)
-    # The key of the window at i is the rank of its first L-1 symbols times
-    # |A| plus its last symbol; ranks are dense, so keys stay below (n+1)|A|.
-    rank = np.zeros(n, np.int32 if (n + 1) * sigma < 2**31 else np.int64)
-    key, ordered = np.empty_like(rank), np.empty_like(rank)
-    for length in range(1, min(k, half) + 1):
-        m = n - length + 1
-        np.multiply(rank[:m], sigma, out=key[:m])
-        key[:m] += data[length - 1 :]
-        order = np.argsort(key[:m], kind="stable")  # runs of equal windows
-        np.take(key[:m], order, mode="clip", out=ordered[:m])
-        # key now marks where each run starts (1), and then holds new ranks.
-        key[0] = 1
-        np.not_equal(ordered[1:m], ordered[: m - 1], out=key[1:m])
-        heads = np.flatnonzero(key[:m])
-        rank[order] = np.cumsum(key[:m], out=key[:m])
-        bounds = heads.tolist() + [m]
-        for g in np.flatnonzero(order[heads] <= half - length).tolist():
-            starts = order[bounds[g] : bounds[g + 1]]
-            pat = data[starts[0] : starts[0] + length]
-            if pat.tobytes() not in chosen:
-                entries.append(_stability_entry(w.alphabet, pat, starts, half, n))
     entries.sort(key=lambda e: (len(e.factor), e.factor.data.tobytes()))
     return StabilityReport(
         factor_length_bound=k,
