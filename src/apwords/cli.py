@@ -45,7 +45,16 @@ from .machines import (
     run_mealy,
     run_transducer,
 )
-from .words import Alphabet, FiniteWord, bar, occurrences, parse_word, render_symbols
+from .words import (
+    Alphabet,
+    FiniteWord,
+    bar,
+    occurrences,
+    parse_word,
+    render_spaced,
+    render_symbols,
+    spaced_tokens,
+)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -256,11 +265,14 @@ def cmd_run(args, parser):
     else:
         trace = run_transducer(machine, word)
     if args.emit_states:
-        # Each step's "@state" marker goes before the symbols that step emitted.
-        labels = np.array(machine.output_alphabet.labels, object)[trace.output.data]
+        # One token table: the output labels, then one "@state" marker per
+        # state; each step's marker goes before the symbols it emitted.
+        labels = machine.output_alphabet.labels
+        tokens = spaced_tokens([*labels, *("@" + q for q in machine.states)])
         starts = np.cumsum(trace.step_lengths) - trace.step_lengths
-        marks = "@" + np.array(machine.states, object)[trace.state_index[:-1]]
-        print(" ".join(np.insert(labels, starts, marks).tolist()))
+        marks = len(labels) + trace.state_index[:-1].astype(np.int64)
+        keys = np.insert(trace.output.data.astype(np.int64), starts, marks)
+        print(render_spaced(tokens, keys))
     else:
         print(trace.output.to_text())
     return EXIT_OK

@@ -23,10 +23,85 @@ from .errors import (
 MAX_ALPHABET = 256
 
 
+class EmissionTable:
+    """Words looked up by integer key: the emission store shared by
+    transducers, homomorphisms, morphic sources and label rendering
+    (internal).
+
+    The words are kept as rows of a zero-padded ``(keys, width)`` uint8
+    table, ``width`` the longest word's length, plus a mask of the valid
+    cells.  Each row, and each row of the mask, is also viewed as one
+    fixed-width item (``np.void`` of ``width`` bytes), so that ``expand``
+    is one 1-D gather of whole rows, then one boolean selection of the
+    valid cells.  A uniform table, whose words all have one length (Mealy
+    machines, uniform morphisms such as Thue–Morse), has no padding and
+    skips the selection; a table of empty words expands to nothing.
+    """
+
+    __slots__ = ("lengths", "_padded", "_rows", "_cells", "_block")
+
+    # Cells gathered per block: bounds the temporary of ``expand`` when
+    # one emission is long.
+    BLOCK_CELLS = 1 << 20
+
+    def __init__(self, words):
+        words = [np.asarray(w, np.uint8).reshape(-1) for w in words]
+        lengths = np.array([w.shape[0] for w in words], np.int64)
+        width = int(lengths.max())
+        mask = np.arange(width) < lengths[:, None]
+        padded = np.zeros((len(words), width), np.uint8)
+        padded[mask] = np.concatenate(words)
+        for arr in (lengths, mask, padded):
+            arr.flags.writeable = False
+        self.lengths = lengths
+        self._padded = padded
+        # A width-0 void view keeps the (keys, 0) shape: no items to gather.
+        item = np.dtype((np.void, width))
+        self._rows = padded.view(item).ravel() if width else None
+        self._cells = None if (lengths == width).all() else mask.view(item).ravel()
+        self._block = max(1, self.BLOCK_CELLS // max(width, 1))
+
+    def __getitem__(self, key: int) -> np.ndarray:
+        """The word stored under ``key`` (a read-only view)."""
+        return self._padded[key, : self.lengths[key]]
+
+    def expand(self, keys: np.ndarray) -> np.ndarray:
+        """Concatenation of the words stored under ``keys``, in order."""
+        if self._rows is None:
+            return np.empty(0, np.uint8)
+        keys = np.asarray(keys)
+        n, step = keys.shape[0], self._block
+        if n > step:
+            return np.concatenate(
+                [self.expand(keys[i : i + step]) for i in range(0, n, step)]
+            )
+        out = self._rows[keys].view(np.uint8)
+        if self._cells is not None:
+            out = out[self._cells[keys].view(bool)]
+        return out
+
+
+def spaced_tokens(labels: Iterable[str]) -> EmissionTable:
+    """Token table of ``labels`` as UTF-8, each followed by one space.
+
+    Lone surrogates (undecodable command-line bytes) pass through, so
+    ``render_spaced`` gives exactly the labels joined by single spaces.
+    """
+    return EmissionTable(
+        np.frombuffer(f"{s} ".encode("utf-8", "surrogatepass"), np.uint8) for s in labels
+    )
+
+
+def render_spaced(tokens: EmissionTable, keys: np.ndarray) -> str:
+    """The labels of a ``spaced_tokens`` table under ``keys``, joined by
+    single spaces."""
+    return tokens.expand(keys)[:-1].tobytes().decode("utf-8", "surrogatepass")
+
+
 class Alphabet:
     """An ordered list of distinct symbol labels."""
 
-    __slots__ = ("_labels", "_index", "_char_lut")
+    __slots__ = ("_labels", "_index", "_single_char", "_tokens")
 
     def __init__(self, labels: Iterable[str]):
         labels = tuple(str(s) for s in labels)
@@ -40,11 +115,13 @@ class Alphabet:
             raise AlphabetError("symbol labels must be nonempty and whitespace-free")
         self._labels = labels
         self._index = {s: i for i, s in enumerate(labels)}
-        # Byte lookup table for fast text rendering of 1-char ASCII labels.
-        if all(len(s) == 1 and ord(s) < 128 for s in labels):
-            self._char_lut = np.array([ord(s) for s in labels], np.uint8)
+        self._single_char = all(len(s) == 1 and ord(s) < 128 for s in labels)
+        # Text rendering: 1-char ASCII labels are concatenated, others are
+        # separated by single spaces.
+        if self._single_char:
+            self._tokens = EmissionTable([ord(s)] for s in labels)
         else:
-            self._char_lut = None
+            self._tokens = spaced_tokens(labels)
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -52,7 +129,7 @@ class Alphabet:
 
     @property
     def single_char(self) -> bool:
-        return self._char_lut is not None
+        return self._single_char
 
     def __len__(self):
         return len(self._labels)
@@ -169,8 +246,8 @@ class FiniteWord:
 def render_symbols(alphabet: Alphabet, data: np.ndarray) -> str:
     """Render an index array as label text (see FiniteWord.from_text)."""
     if alphabet.single_char:
-        return alphabet._char_lut[data].tobytes().decode("ascii")
-    return " ".join(alphabet.label(int(i)) for i in data)
+        return alphabet._tokens.expand(data).tobytes().decode("ascii")
+    return render_spaced(alphabet._tokens, data)
 
 
 @dataclass(frozen=True)
@@ -211,46 +288,6 @@ def segment(w, s: Segment) -> FiniteWord:
             raise BoundsError(f"segment end {s.end} out of range for |w|={len(w)}")
         return FiniteWord._wrap(w.alphabet, w.data[s.start : s.end + 1].copy())
     return w.segment(s)
-
-
-class EmissionTable:
-    """Words looked up by integer key: the emission store shared by
-    transducers, homomorphisms and morphic sources (internal).
-
-    The words are kept as rows of a zero-padded ``(keys, max_len)`` table
-    plus a mask of the valid cells, so that ``expand`` is two gathers and
-    one boolean selection, with no loop over the keys.
-    """
-
-    __slots__ = ("lengths", "_padded", "_mask", "_block")
-
-    # Cells gathered per block: bounds the temporary of ``expand`` when
-    # one emission is long.
-    BLOCK_CELLS = 1 << 20
-
-    def __init__(self, words):
-        words = [np.asarray(w, np.uint8).reshape(-1) for w in words]
-        lengths = np.array([w.shape[0] for w in words], np.int64)
-        width = int(lengths.max())
-        self._mask = np.arange(width) < lengths[:, None]
-        self._padded = np.zeros((len(words), width), np.uint8)
-        self._padded[self._mask] = np.concatenate(words)
-        for arr in (lengths, self._mask, self._padded):
-            arr.flags.writeable = False
-        self.lengths = lengths
-        self._block = max(1, self.BLOCK_CELLS // max(width, 1))
-
-    def __getitem__(self, key: int) -> np.ndarray:
-        """The word stored under ``key`` (a read-only view)."""
-        return self._padded[key, : self.lengths[key]]
-
-    def expand(self, keys: np.ndarray) -> np.ndarray:
-        """Concatenation of the words stored under ``keys``, in order."""
-        keys = np.asarray(keys)
-        n, step = keys.shape[0], self._block
-        if n <= step:
-            return self._padded[keys][self._mask[keys]]
-        return np.concatenate([self.expand(keys[i : i + step]) for i in range(0, n, step)])
 
 
 def occurrences(x: FiniteWord, w: FiniteWord) -> np.ndarray:

@@ -1,4 +1,9 @@
+import contextlib
+import io
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from apwords import CounterexampleFamily, FiniteWord, parse_homomorphism, parse_machine
 from apwords.cli import main
@@ -153,6 +158,50 @@ class TestScanCommands:
         assert code == 2
 
 
+# Output labels with distinct first characters, so that an emission written
+# as concatenated labels parses one way.
+OUTPUT_LABELS = ["0", "1", "a", "bc", "é", "日本", "x9"]
+INPUT_ALPHABETS = [["0", "1"], ["0", "1", "2"], ["in0", "in1"], ["ü", "ö"]]
+STATE_PREFIXES = ["q", "état", "状態", "s_"]
+
+
+@st.composite
+def machine_runs(draw):
+    """A random Mealy machine or transducer of at most 6 states, as
+    (input labels, output labels, states, transitions, input word)."""
+    inputs = draw(st.sampled_from(INPUT_ALPHABETS))
+    outputs = draw(
+        st.lists(st.sampled_from(OUTPUT_LABELS), min_size=1, max_size=4, unique=True)
+    )
+    prefix = draw(st.sampled_from(STATE_PREFIXES))
+    states = [f"{prefix}{i}" for i in range(draw(st.integers(1, 6)))]
+    mealy = draw(st.booleans())
+    emission = st.lists(
+        st.sampled_from(outputs), min_size=int(mealy), max_size=1 if mealy else 3
+    )
+    trans = {
+        (q, a): (draw(st.sampled_from(states)), draw(emission))
+        for q in states
+        for a in inputs
+    }
+    word = draw(st.lists(st.sampled_from(inputs), max_size=30))
+    return inputs, outputs, states, trans, word
+
+
+SILENT_TRANSDUCER = (
+    ["0", "1"],
+    ["a"],
+    ["q0", "q1"],
+    {
+        ("q0", "0"): ("q1", []),
+        ("q0", "1"): ("q0", []),
+        ("q1", "0"): ("q0", []),
+        ("q1", "1"): ("q1", []),
+    },
+    ["0", "1", "1", "0"],
+)
+
+
 class TestRun:
     def test_machine_file(self, capsys, tmp_path):
         path = tmp_path / "toggle.machine"
@@ -207,6 +256,37 @@ class TestRun:
         )
         assert code == 0
         assert out.strip() == "@q a b @q @q a b"
+
+    @given(machine_runs())
+    @example(SILENT_TRANSDUCER)  # every emission empty
+    @example((*SILENT_TRANSDUCER[:4], []))  # empty input
+    @settings(max_examples=150, deadline=None)
+    def test_emit_states_matches_definition(self, tmp_path_factory, run):
+        inputs, outputs, states, trans, word = run
+        lines = [
+            "input: " + " ".join(inputs),
+            "output: " + " ".join(outputs),
+            "states: " + " ".join(states),
+            "initial: " + states[0],
+        ]
+        lines += [
+            f"{q} {a} -> {q2} {''.join(e) or '-'}" for (q, a), (q2, e) in trans.items()
+        ]
+        path = tmp_path_factory.getbasetemp() / "emit-states.machine"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        single = all(len(a) == 1 and a.isascii() for a in inputs)
+        text = ("" if single else " ").join(word)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["run", "--machine", str(path), "--input", text, "--emit-states"])
+        # From the definition: each step's "@state", then what it emitted.
+        tokens, q = [], states[0]
+        for a in word:
+            q2, emitted = trans[(q, a)]
+            tokens += ["@" + q, *emitted]
+            q = q2
+        assert code == 0
+        assert out.getvalue() == " ".join(tokens) + "\n"
 
     def test_stdin_input(self, capsys, monkeypatch, tmp_path):
         import io

@@ -19,7 +19,7 @@ from apwords import (
     parse_word,
     segment,
 )
-from apwords.words import EmissionTable
+from apwords.words import EmissionTable, render_symbols
 from conftest import bword, naive_occurrences
 
 A2 = "1001101100011001001110011"
@@ -69,6 +69,29 @@ class TestFiniteWord:
         w = FiniteWord.from_text(a, "lo hi hi")
         assert w.to_text() == "lo hi hi"
         assert len(w) == 3
+
+    @given(
+        st.lists(
+            st.text(st.characters(blacklist_categories=("Z", "C")), min_size=1, max_size=4),
+            min_size=1,
+            max_size=8,
+            unique=True,
+        ),
+        st.lists(st.integers(0, 255), max_size=200),
+    )
+    @example(["ab", "c", "de"], [0, 1, 2, 2, 0])
+    @example(["é", "ü"], [1, 0, 1])  # one character each, but not ASCII
+    @example(["日本", "x", "\udcff"], [2, 0, 1, 2])  # a lone surrogate passes through
+    @example(["lo", "hi"], [])
+    @example(["0", "1"], [1, 0, 0, 1])
+    @settings(max_examples=200, deadline=None)
+    def test_render_matches_join(self, labels, picks):
+        a = Alphabet(labels)
+        data = np.array([p % len(labels) for p in picks], np.uint8)
+        sep = "" if a.single_char else " "
+        expected = sep.join(labels[i] for i in data)
+        assert render_symbols(a, data) == expected
+        assert FiniteWord(a, data).to_text() == expected
 
     def test_immutable(self):
         w = bword("101")
@@ -198,6 +221,14 @@ class TestEmissionTable:
     @example([[1, 2], [3]], [], False)  # no keys
     @example([[], []], [0, 1, 1, 0], False)  # every emission empty
     @example([[], [5, 6, 7]], [2, 0, 1, 2, 1], True)  # several gather blocks
+    # Uniform tables: every row one length, so no cell is masked out.
+    @example([[0], [1], [2]], [2, 0, 1, 1], False)
+    @example([[0, 1], [1, 0]], [0, 1, 1, 0], False)
+    @example([[0, 0, 0], [1, 0, 1]], [1, 1, 0], False)
+    @example([list(range(9)), [8] * 9], [0, 1, 0], False)
+    @example([[7, 8, 9]], [0, 0, 0], False)  # one row
+    @example([LONG], [0, 0, 0], False)  # one key per gather block
+    @example([LONG, LONG[::-1]], [1, 0, 1], False)
     @settings(max_examples=200, deadline=None)
     def test_expand_matches_concatenation(self, rows, picks, with_long):
         if with_long:
