@@ -242,6 +242,27 @@ def _stability_entry(alphabet, pat: np.ndarray, starts: np.ndarray, half: int, n
     )
 
 
+def _packed_shift(half: int, sigma: int) -> int:
+    """Bits that hold a window start in the int64 sort values
+    ``key << shift | start`` of ``recurrence_stability``.
+
+    A key is below half * |A| (ranks count from 0, and the first half has
+    at most half windows), a start below 2^shift with shift =
+    half.bit_length() <= ceil(log2(half + 1)), so a value is below
+    half * |A| * 2^shift <= 2 * half^2 * |A|.  With |A| <= 256 that fits
+    int64 for words below about 2.6 * 10^8 symbols, above the
+    materialization budget; a ``--word-file`` is not budgeted, so a word
+    past the bound is rejected here.
+    """
+    shift = half.bit_length()
+    if (half * sigma) << shift > 1 << 63:
+        raise ValueError(
+            f"stability keys of a word of {2 * half} symbols over {sigma} labels "
+            "overflow int64 (the limit is about 2.6e8 symbols)"
+        )
+    return shift
+
+
 def recurrence_stability(
     w: FiniteWord, k: int, required: Iterable[FiniteWord] = ()
 ) -> StabilityReport:
@@ -252,40 +273,90 @@ def recurrence_stability(
     the first half (factors first appearing late have no meaningful gap
     statistics), plus any explicitly `required` factors, which are reported
     even when absent; an absent required factor is unstable by definition.
-    They are listed by one sort of window keys per length over the first
-    half, the refinement step of Karp, Miller and Rosenberg (STOC 1972);
-    each factor is then scanned once over all of w.
+
+    The factors are listed by one sort of window keys per length L over
+    the first half, the refinement step of Karp, Miller and Rosenberg
+    (STOC 1972).  Each run of equal keys in sorted order is one factor and
+    holds that factor's first-half starts in ascending order, so the sort
+    gives every factor's first-half count and minimal window.  The other
+    starts come from one scan per factor of the second half only, the text
+    from half - L + 1 on.  A required factor that the listing does not
+    produce is scanned once over all of w.
     """
     if len(w) < 2:
         raise ValueError("stability needs a word of length >= 2")
     if not 1 <= k <= MAX_FACTOR_LENGTH:
         raise ValueError(f"factor length bound must be in 1..{MAX_FACTOR_LENGTH}")
-    n, half, data = len(w), len(w) // 2, w.data
-    chosen = {}
+    n, half, data, alphabet = len(w), len(w) // 2, w.data, w.alphabet
+    unlisted = {}
     for r in required:
-        if r.alphabet != w.alphabet:
+        if r.alphabet != alphabet:
             raise AlphabetError("required factor over a different alphabet")
         if len(r) == 0:
             raise EmptyPatternError("required factor must be nonempty")
-        chosen.setdefault(r.data.tobytes(), r.data)
-    sigma = len(w.alphabet)
-    # The key of the window at i is the dense rank of its first L-1 symbols
-    # times |A| plus its last symbol, so equal keys mean equal windows.
+        unlisted.setdefault(r.data.tobytes(), r.data)
+    sigma = len(alphabet)
+    shift = _packed_shift(half, sigma)
+    # The key of the window at i is the dense rank (from 0) of its first
+    # L-1 symbols times |A| plus its last symbol, so equal keys mean equal
+    # windows.  Sorting key << shift | i orders equal keys by start.
     rank = np.zeros(half, np.int32 if (half + 1) * sigma < 2**31 else np.int64)
+    index = np.arange(half, dtype=np.int64)
+    packed, starts, gaps = (np.empty(half, np.int64) for _ in range(3))
     head = np.empty(half, bool)
+    entries = []
     for length in range(1, min(k, half) + 1):
         m = half - length + 1
-        key = rank[:m] * sigma + data[length - 1 : half]
-        order = np.argsort(key)
-        key = key[order]
-        head[0] = True
-        np.not_equal(key[1:], key[:-1], out=head[1:m])
-        for s in order[head[:m]].tolist():
-            chosen.setdefault(data[s : s + length].tobytes(), data[s : s + length])
-        rank[order] = np.cumsum(head[:m], dtype=rank.dtype)
-    entries = [
-        _stability_entry(w.alphabet, pat, _kernels.find_occurrences(data, pat), half, n)
-        for pat in chosen.values()
+        p, s, g, h = packed[:m], starts[:m], gaps[:m], head[:m]
+        np.multiply(rank[:m], sigma, out=p, dtype=np.int64)
+        p += data[length - 1 : half]
+        p <<= shift
+        p |= index[:m]
+        p.sort()
+        np.right_shift(p, shift, out=g)
+        h[0] = True
+        np.not_equal(g[1:], g[:-1], out=h[1:])
+        np.bitwise_and(p, (1 << shift) - 1, out=s)
+        # Per run: first and last start, and the largest gap between
+        # consecutive starts (0 for one start), the gaps across runs zeroed.
+        runs = np.flatnonzero(h)
+        ends = np.append(runs[1:], m)
+        np.subtract(s[1:], s[:-1], out=g[1:])
+        np.copyto(g, 0, where=h)
+        first, last, gap = s[runs], s[ends - 1], np.maximum.reduceat(g, runs)
+        in_half = np.maximum(np.maximum(first + length, half - last), gap + length - 1)
+        h[0] = False
+        np.cumsum(h, out=g)
+        rank[s] = g
+        offset = half - length + 1
+        text = data[offset:]
+        for start, last_i, gap_i, count, window in zip(
+            first.tolist(),
+            last.tolist(),
+            gap.tolist(),
+            (ends - runs).tolist(),
+            in_half.tolist(),
+        ):
+            pat = data[start : start + length]
+            if unlisted:
+                unlisted.pop(pat.tobytes(), None)
+            later = _kernels.find_occurrences(text, pat)
+            if later.size:
+                gap_i = max(gap_i, int(later[0]) + offset - last_i)
+                if later.size > 1:
+                    gap_i = max(gap_i, int(np.diff(later).max()))
+                last_i = int(later[-1]) + offset
+            entries.append(
+                StabilityEntry(
+                    factor=FiniteWord._wrap(alphabet, pat),
+                    occurrence_count=count + int(later.size),
+                    min_window_half=window,
+                    min_window_full=max(start + length, n - last_i, gap_i + length - 1),
+                )
+            )
+    entries += [
+        _stability_entry(alphabet, pat, _kernels.find_occurrences(data, pat), half, n)
+        for pat in unlisted.values()
     ]
     entries.sort(key=lambda e: (len(e.factor), e.factor.data.tobytes()))
     return StabilityReport(

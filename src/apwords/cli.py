@@ -8,6 +8,8 @@ Exit codes: 0 success / all checks pass, 1 verification failure,
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import sys
 
 import numpy as np
@@ -90,11 +92,25 @@ def _not_in_alphabet(label: str, pos: int, alphabet: Alphabet) -> AlphabetError:
 
 def _word_for_alphabet(text: str, alphabet: Alphabet) -> FiniteWord:
     """Parse a word, reporting the offending symbol and its position."""
-    tokens = list(text.strip()) if alphabet.single_char else text.split()
-    for pos, tok in enumerate(tokens):
-        if tok not in alphabet:
-            raise _not_in_alphabet(tok, pos, alphabet)
-    return FiniteWord(alphabet, [alphabet.index(t) for t in tokens])
+    if alphabet.single_char:
+        # Each character is one symbol and every label is ASCII: look the
+        # code points up in a table whose last slot stands for all others.
+        tokens = text.strip()
+        lut = np.full(129, -1, np.int16)
+        lut[[ord(s) for s in alphabet.labels]] = np.arange(len(alphabet))
+        points = np.frombuffer(tokens.encode("utf-32-le", "surrogatepass"), np.uint32)
+        data = lut[np.minimum(points, 128)]
+    else:
+        tokens = text.split()
+        codes = {s: i for i, s in enumerate(alphabet.labels)}
+        data = np.fromiter(
+            map(codes.get, tokens, itertools.repeat(-1)), np.int16, len(tokens)
+        )
+    missing = np.flatnonzero(data < 0)
+    if missing.size:
+        pos = int(missing[0])
+        raise _not_in_alphabet(tokens[pos], pos, alphabet)
+    return FiniteWord._wrap(alphabet, data.astype(np.uint8))
 
 
 def _relabel(word: FiniteWord, alphabet: Alphabet) -> FiniteWord:
@@ -365,6 +381,7 @@ def cmd_verify_thm1(args, parser):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="apwords",
@@ -380,23 +397,19 @@ def build_parser():
     p.add_argument("--word", help="period word (periodic family)")
     p.add_argument("--rules", help="morphism rules file (morphic family)")
     p.add_argument("--seed", help="seed symbol (morphic family)")
-    p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("occ", help="all occurrence positions of a pattern")
     p.add_argument("--pattern", required=True)
     _add_word_input(p)
-    p.set_defaults(func=cmd_occ)
 
     p = sub.add_parser("minwindow", help="minimal certifying window length")
     p.add_argument("--pattern", required=True)
     _add_word_input(p)
-    p.set_defaults(func=cmd_minwindow)
 
     p = sub.add_parser("window", help="check that every window of a given length contains the pattern")
     p.add_argument("--pattern", required=True)
     p.add_argument("--window-length", type=int, required=True)
     _add_word_input(p)
-    p.set_defaults(func=cmd_window)
 
     p = sub.add_parser("run", help="run a machine over an input word")
     p.add_argument("--machine", help="machine definition file")
@@ -406,33 +419,28 @@ def build_parser():
     p.add_argument("--gen", help="generator spec for the input word")
     p.add_argument("--length", type=int, help="prefix length for --gen")
     p.add_argument("--emit-states", action="store_true")
-    p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("decompose", help="split a transducer into automaton + homomorphism")
     p.add_argument("--machine", required=True)
     p.add_argument("--automaton-out")
     p.add_argument("--homomorphism-out")
-    p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("stability", help="per-factor window stability report (TSV)")
     p.add_argument("--max-len", type=int, required=True)
     p.add_argument("--require", action="append", help="always report this factor")
     _add_word_input(p)
-    p.set_defaults(func=cmd_stability)
 
     p = sub.add_parser("cut-search", help="smallest cut whose suffix is fully stable")
     p.add_argument("--max-len", type=int, required=True)
     p.add_argument("--cuts", required=True, help="comma-separated cut positions")
     p.add_argument("--require", action="append", help="always report this factor")
     _add_word_input(p)
-    p.set_defaults(func=cmd_cut_search)
 
     p = sub.add_parser("verify-thm1", help="run the construction's lemma suite")
     p.add_argument("--max-n", type=int, default=3)
     p.add_argument("--horizon", type=int, default=100_000)
     p.add_argument("--tau-file")
     p.add_argument("--tamper-index", type=int, help=argparse.SUPPRESS)
-    p.set_defaults(func=cmd_verify_thm1)
 
     return parser
 
@@ -440,8 +448,11 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Looked up on each call, not bound into the cached parser, so that a
+    # function replaced on this module (a tracer's wrapper) is what runs.
+    command = globals()["cmd_" + args.verb.replace("-", "_")]
     try:
-        return args.func(args, parser)
+        return command(args, parser)
     except FormatError as e:
         line = f" (line {e.line})" if e.line else ""
         print(f"error: {e}{line}", file=sys.stderr)

@@ -43,26 +43,25 @@ def naive_stability(w, k, required=()):
     """Stability rows (factor text, count, min window over the first half,
     over all of w) from the definition (oracle for recurrence_stability):
     the distinct factors of length <= k of the first half, listed as
-    strings, plus the required factors; starts by naive_occurrences,
-    windows by min_window_from_starts."""
+    tuples of symbols, plus the required factors; starts by
+    naive_occurrences, windows by min_window_from_starts."""
     n, half = len(w), len(w) // 2
-    head = w[:half].to_text()
-    texts = {head[i : i + m] for m in range(1, k + 1) for i in range(half - m + 1)}
-    texts |= {r.to_text() for r in required}
+    head = tuple(w.data[:half].tolist())
+    factors = {head[i : i + m] for m in range(1, k + 1) for i in range(half - m + 1)}
+    factors |= {tuple(r.data.tolist()) for r in required}
     rows = []
-    for text in texts:
-        x = FiniteWord.from_text(w.alphabet, text)
+    for symbols in sorted(factors, key=lambda f: (len(f), f)):
+        x = FiniteWord(w.alphabet, symbols)
         starts = np.array(naive_occurrences(x, w), np.int64)
         in_half = starts[starts + len(x) <= half]
         rows.append(
             (
-                text,
+                x.to_text(),
                 len(starts),
                 min_window_from_starts(in_half, half, len(x)),
                 min_window_from_starts(starts, n, len(x)),
             )
         )
-    rows.sort(key=lambda row: (len(row[0]), [w.alphabet.index(c) for c in row[0]]))
     return rows
 
 

@@ -22,6 +22,7 @@ from apwords import (
     verify_cn_absent,
     verify_pair_containment,
 )
+from apwords.analysis import _packed_shift
 from conftest import bword, naive_cut_search, naive_stability
 
 
@@ -297,6 +298,86 @@ class TestStabilityOracle:
         ]
         assert rows == naive_stability(w, k, req)
         assert eap_cut_search(w, k, cuts, required=req) == naive_cut_search(w, k, cuts, req)
+
+
+def report_rows(w, k, required=()):
+    report = recurrence_stability(w, k, required=required)
+    return [
+        (e.factor.to_text(), e.occurrence_count, e.min_window_half, e.min_window_full)
+        for e in report.entries
+    ]
+
+
+def shift_edge_words():
+    """(kind, word) with half length 2^j - 1, 2^j and 2^j + 1, j = 6..9, and
+    both parities of the whole length: the first-half starts fill exactly
+    the low bits of the packed sort values, or spill into one more."""
+    tm = thue_morse_source()
+    for j in range(6, 10):
+        for half in (2**j - 1, 2**j, 2**j + 1):
+            for n in (2 * half, 2 * half + 1):
+                yield "unary", Alphabet("a").word("a" * n)
+                yield "periodic", Alphabet("abc").word(("aabcb" * n)[:n])
+                yield "thue-morse", tm.prefix(n)
+
+
+class TestStabilityFromSort:
+    """recurrence_stability against naive_stability where the first-half
+    statistics come from the sort and the rest from second-half scans."""
+
+    @pytest.mark.parametrize(
+        "kind, w", shift_edge_words(), ids=lambda v: v if isinstance(v, str) else len(v)
+    )
+    def test_shift_edges(self, kind, w):
+        assert report_rows(w, 5) == naive_stability(w, 5)
+
+    @given(
+        data=st.lists(st.integers(0, 119), min_size=2, max_size=160),
+        k=st.integers(1, 4),
+    )
+    @example(data=[7, 110, 119, 0] * 20, k=4)
+    @settings(max_examples=40, deadline=None)
+    def test_alphabet_of_120_labels(self, data, k):
+        alphabet = Alphabet([f"s{i}" for i in range(120)])
+        w = FiniteWord(alphabet, data)
+        required = [FiniteWord(alphabet, data[-2:])]
+        assert report_rows(w, k, required) == naive_stability(w, k, required)
+
+    def test_factor_absent_from_second_half(self, ab):
+        # "b" and "ba" occur only in the first half.
+        w = ab.word("abaaaaaaaa")
+        rows = report_rows(w, 3)
+        assert rows == naive_stability(w, 3)
+        assert ("b", 1, 4, 9) in rows and ("ba", 1, 4, 9) in rows
+
+    def test_factor_once_in_first_half(self, ab):
+        # "b" starts at 2 in the first half, then at 5 and 7.
+        w = ab.word("aabaabab")
+        rows = report_rows(w, 2)
+        assert rows == naive_stability(w, 2)
+        assert ("b", 3, 3, 3) in rows
+
+    def test_factor_starting_where_the_halves_meet(self, ab):
+        # "ab" at 0 in the first half and at 3 = half - 2 + 1, the first
+        # start of the second-half text.
+        w = ab.word("abaabbbb")
+        rows = report_rows(w, 2)
+        assert rows == naive_stability(w, 2)
+        assert ("ab", 2, 4, 5) in rows
+
+    def test_packed_values_fit_int64(self):
+        # A 256-label word of 2^28 symbols is the longest that fits; past
+        # it the word is rejected (the CLI exits 2 on ValueError).
+        assert _packed_shift(2**27, 256) == 28
+        with pytest.raises(ValueError, match="overflow int64"):
+            _packed_shift(2**27 + 1, 256)
+
+    def test_required_factor_listed_at_length_k(self, ab):
+        w = ab.word("abbaabab")
+        required = [ab.word("ab"), ab.word("bab")]
+        rows = report_rows(w, 2, required)
+        assert rows == naive_stability(w, 2, required)
+        assert [r[0] for r in rows].count("ab") == 1
 
 
 class TestCutSearch:

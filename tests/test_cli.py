@@ -307,6 +307,33 @@ class TestRun:
         assert code == 4
         assert "'x'" in err and "position 2" in err
 
+    @pytest.mark.parametrize(
+        "labels, bad", [(("0", "1"), "x"), (("0", "1"), "é"), (("zero", "one"), "two")]
+    )
+    @pytest.mark.parametrize("pos", [0, 3, 6])
+    @pytest.mark.parametrize("source", ["--input", "--input-file"])
+    def test_bad_symbol_reported_with_position(self, capsys, tmp_path, labels, bad, pos, source):
+        path = tmp_path / "ident.machine"
+        path.write_text(
+            f"input: {' '.join(labels)}\noutput: 0 1\nstates: q\ninitial: q\n"
+            f"q {labels[0]} -> q 0\nq {labels[1]} -> q 1\n",
+            encoding="utf-8",
+        )
+        symbols = [labels[i % 2] for i in range(7)]
+        symbols[pos] = bad
+        text = ("" if len(labels[0]) == 1 else " ").join(symbols)
+        if source == "--input-file":
+            # Surrounding whitespace does not count towards positions.
+            text_path = tmp_path / "input.txt"
+            text_path.write_text(f"  {text}\n", encoding="utf-8")
+            text = str(text_path)
+        code, out, err = run_cli(capsys, "run", "--machine", str(path), source, text)
+        assert code == 4 and out == ""
+        assert err == (
+            f"error: symbol {bad!r} at position {pos} is not in alphabet "
+            f"{' '.join(labels)}\n"
+        )
+
     def test_generated_symbol_missing_from_machine(self, capsys):
         code, _, err = run_cli(
             capsys,
