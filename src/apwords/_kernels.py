@@ -4,10 +4,13 @@ One implementation per kernel:
 
 * ``find_occurrences``, a vectorized scan that compares up to eight
   symbols at once, as one integer compare of overlapping byte windows, and
-* ``mealy_run``: the blocked two-pass run of Mytkowicz, Musuvathi and
-  Schulte ("Data-Parallel Finite-State Machines", ASPLOS 2014), vectorized
-  over blocks and states, for machines of at most ``BLOCKED_MAX_STATES``
-  states, and the sequential loop, in plain Python, for wider ones.
+* ``mealy_run``, the one run of every machine, Mealy or transducer.  It
+  computes the states visited: by the blocked two-pass run of Mytkowicz,
+  Musuvathi and Schulte ("Data-Parallel Finite-State Machines", ASPLOS
+  2014), vectorized over blocks and states, for machines of at most
+  ``BLOCKED_MAX_STATES`` states, and by a sequential loop, in plain Python,
+  for wider ones.  The output is then one expansion of the steps' keys
+  through the machine's ``EmissionTable``.
 """
 
 import math
@@ -67,32 +70,44 @@ def find_occurrences(text, pattern):
 
 # Pass 1 of the blocked run costs |Q| gathers per symbol, the loop one
 # Python-level step per symbol.  On random binary machines and 5*10^5
-# symbols (2 vCPU, numpy 2.4) the blocked run took 26 ms at 16 states,
-# 51 ms at 32 and 95 ms at 64, the loop 54-62 ms at any width.  The
-# 4096-state delay machine of a 12-symbol word takes 3.2 s blocked on
-# 2*10^5 symbols, 0.025 s looped.
+# symbols (2 vCPU, numpy 2.4, states only, best of 5, two rounds) the
+# blocked run took 8-11 ms at 2-4 states, 23-26 ms at 16, 40-49 ms at 32
+# and 76-89 ms at 64, the loop 46-54 ms at any width.  The 4096-state
+# delay machine of a 12-symbol word takes 3.5 s blocked on 2*10^5
+# symbols, 0.019 s looped.
 BLOCKED_MAX_STATES = 64
 
 
-def mealy_run(next_state, out_symbol, initial, inp):
-    """Machine run: blocked for narrow machines, else a loop.
+def mealy_run(next_state, emissions, initial, inp):
+    """Machine run: the states visited, then the words emitted.
 
-    Returns the states visited (``int32[n + 1]``, starting at ``initial``)
-    and the output symbols (``uint8[n]``).
+    ``emissions`` is an ``EmissionTable`` holding the word emitted on each
+    transition under the key ``state * |A| + symbol``.  Returns the states
+    visited (``int32[n + 1]``, starting at ``initial``), each step's key
+    (``int32[n]``) and the concatenation of the words under those keys
+    (``uint8``).
     """
+    na = next_state.shape[1]
+    states = _run_states(next_state, initial, inp)
+    keys = states[:-1] * na + inp
+    return states, keys, emissions.expand(keys)
+
+
+def _run_states(next_state, initial, inp):
+    """States visited (``int32[n + 1]``): blocked for narrow machines, else
+    a loop."""
     n = inp.shape[0]
     nq, na = next_state.shape
     if nq > BLOCKED_MAX_STATES:
         # Python lists index about four times faster than numpy arrays one
-        # element at a time; the outputs are one gather afterwards.
+        # element at a time.
         step = next_state.tolist()
         q = int(initial)
         states = [q]
         for a in inp.tolist():
             q = step[q][a]
             states.append(q)
-        states = np.array(states, np.int32)
-        return states, out_symbol[states[:-1], inp]
+        return np.array(states, np.int32)
     # A block of length L costs about five numpy calls per symbol of the
     # block (passes 1 and 2) and the n/L blocks one link step each; the
     # square root balances the two (L = 176 at 5*10^5 symbols).
@@ -101,8 +116,8 @@ def mealy_run(next_state, out_symbol, initial, inp):
     size = blocks * length
     text = inp
     if size != n:
-        # The padding symbols run through the last block; their states and
-        # outputs fall outside the views returned.
+        # The padding symbols run through the last block; their states fall
+        # outside the view returned.
         text = np.zeros(size, np.uint8)
         text[:n] = inp
     text = text.reshape(blocks, length)
@@ -110,7 +125,6 @@ def mealy_run(next_state, out_symbol, initial, inp):
     # input symbol and one gather.  The indices are in range by
     # construction; mode="clip" skips the bounds check's buffered copy.
     step = next_state.astype(np.intp).ravel() * na
-    emit = out_symbol.ravel()
 
     # Pass 1: run every block from every state; lanes[q, b] ends as the
     # state (times |A|) that block b ends in when it starts in q.
@@ -132,19 +146,12 @@ def mealy_run(next_state, out_symbol, initial, inp):
     # Pass 2: replay every block from its entry state.
     states = np.empty(size + 1, np.int32)
     states[0] = initial
-    out = np.empty(size, np.uint8)
     by_block = states[1:].reshape(blocks, length)
-    out_by_block = out.reshape(blocks, length)
     current = np.array(entry, np.intp) * na
     keys = keys[0]
     for j in range(length):
         np.add(current, text[:, j], out=keys)
-        np.take(emit, keys, out=out_by_block[:, j], mode="clip")
         np.take(step, keys, out=current, mode="clip")
         by_block[:, j] = current
     states[1:] //= na
-    return states[: n + 1], out[:n]
-
-
-# Alias of ``mealy_run`` for code that imports it by this name.
-mealy_run_numpy = mealy_run
+    return states[: n + 1]

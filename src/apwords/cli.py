@@ -44,7 +44,6 @@ from .machines import (
     format_homomorphism,
     format_machine,
     parse_machine,
-    run_mealy,
     run_transducer,
 )
 from .words import (
@@ -276,10 +275,7 @@ def cmd_run(args, parser):
         else:
             text = sys.stdin.read()
         word = _word_for_alphabet(text, machine.input_alphabet)
-    if isinstance(machine, MealyMachine):
-        trace = run_mealy(machine, word)
-    else:
-        trace = run_transducer(machine, word)
+    trace = run_transducer(machine, word)
     if args.emit_states:
         # One token table: the output labels, then one "@state" marker per
         # state; each step's marker goes before the symbols it emitted.

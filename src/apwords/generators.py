@@ -163,8 +163,7 @@ def morphic_source(
             "a fixed point needs rules mapping an alphabet into itself"
         )
     alphabet = rules.source
-    images = {i: rules.image(s).data for i, s in enumerate(alphabet)}
-    return MorphicSource(alphabet, images, alphabet.index(seed), budget)
+    return MorphicSource(alphabet, rules._images, alphabet.index(seed), budget)
 
 
 def thue_morse_source(budget: int = DEFAULT_BUDGET) -> MorphicSource:

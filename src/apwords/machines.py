@@ -29,9 +29,11 @@ class RunTrace:
 
     ``state_index`` holds the states visited as indices into
     ``state_labels``; ``states``, the tuple of their labels, is built on
-    first access.  ``step_lengths[i]`` is the number of output symbols
-    emitted by step i.  Two traces are equal when their states, outputs and
-    symbol counts are.
+    first access.  The output is the machine's emissions on each step,
+    concatenated; ``step_lengths[i]`` is the number of output symbols
+    emitted by step i (a read-only broadcast of one value when every
+    emission has the same length, as in a Mealy machine).  Two traces are
+    equal when their states, outputs and symbol counts are.
     """
 
     state_labels: tuple[str, ...] = field(repr=False)
@@ -134,8 +136,6 @@ class MealyMachine(Transducer):
             initial,
             {key: (q2, [b]) for key, (q2, b) in transitions.items()},
         )
-        # The width-1 emission table, as the kernel's output table.
-        self._out = self._emit.expand(np.arange(self._next.size)).reshape(self._next.shape)
 
     def transition(self, state: str, symbol: str) -> tuple[str, str]:
         q2, out = super().transition(state, symbol)
@@ -170,42 +170,42 @@ def apply_homomorphism(h: Homomorphism, w: FiniteWord) -> FiniteWord:
     return FiniteWord._wrap(h.target, h._images.expand(w.data))
 
 
-def run_mealy(machine: MealyMachine, word: FiniteWord) -> RunTrace:
-    if word.alphabet != machine.input_alphabet:
-        raise AlphabetError("input word is not over the machine's input alphabet")
-    states, out = _kernels.mealy_run(
-        machine._next, machine._out, machine._initial_idx, word.data
-    )
-    return RunTrace(
-        state_labels=machine.states,
-        state_index=states,
-        output=FiniteWord._wrap(machine.output_alphabet, out),
-        consumed=len(word),
-        step_lengths=np.broadcast_to(np.int64(1), out.shape),
-    )
+def _run(machine: Transducer, data: np.ndarray):
+    """States visited, step keys and output of ``machine`` on the input
+    symbols ``data``."""
+    return _kernels.mealy_run(machine._next, machine._emit, machine._initial_idx, data)
 
 
 def run_transducer(machine: Transducer, word: FiniteWord) -> RunTrace:
     if word.alphabet != machine.input_alphabet:
         raise AlphabetError("input word is not over the machine's input alphabet")
-    dummy_out = np.zeros_like(machine._next, dtype=np.uint8)
-    states, _ = _kernels.mealy_run(
-        machine._next, dummy_out, machine._initial_idx, word.data
-    )
-    keys = states[:-1] * len(machine.input_alphabet) + word.data
+    states, keys, out = _run(machine, word.data)
+    lengths = machine._emit.lengths
+    if np.ptp(lengths):
+        step_lengths = lengths[keys]
+    else:
+        step_lengths = np.broadcast_to(lengths[0], keys.shape)
     return RunTrace(
         state_labels=machine.states,
         state_index=states,
-        output=FiniteWord._wrap(machine.output_alphabet, machine._emit.expand(keys)),
+        output=FiniteWord._wrap(machine.output_alphabet, out),
         consumed=len(word),
-        step_lengths=machine._emit.lengths[keys],
+        step_lengths=step_lengths,
     )
+
+
+# A Mealy machine is a transducer whose emissions all have length 1.
+run_mealy = run_transducer
 
 
 class MealyStreamSource(InfiniteWordSource):
     """Lazy automaton image of an infinite input word."""
 
     def __init__(self, machine: MealyMachine, inp: InfiniteWordSource):
+        # One output symbol per input symbol keeps the output prefix of
+        # length n the image of the input prefix of length n.
+        if not isinstance(machine, MealyMachine):
+            raise ValueError("a machine stream needs a Mealy machine")
         if inp.alphabet != machine.input_alphabet:
             raise AlphabetError("input source is not over the machine's input alphabet")
         super().__init__(machine.output_alphabet, budget=inp.budget)
@@ -213,11 +213,7 @@ class MealyStreamSource(InfiniteWordSource):
         self.input = inp
 
     def _prefix(self, n: int) -> np.ndarray:
-        data = self.input.prefix_array(n)
-        _, out = _kernels.mealy_run(
-            self.machine._next, self.machine._out, self.machine._initial_idx, data
-        )
-        return out
+        return _run(self.machine, self.input.prefix_array(n))[2]
 
 
 def run_mealy_stream(machine: MealyMachine, inp: InfiniteWordSource) -> MealyStreamSource:

@@ -104,26 +104,24 @@ class PeriodicSource(InfiniteWordSource):
 class MorphicSource(InfiniteWordSource):
     """Fixed point of a morphism, iterated from a prolongable seed symbol.
 
-    ``images`` maps each symbol index to a nonempty uint8 index array over
-    the same alphabet; the seed's image must start with the seed and have
-    length at least 2.
+    ``images`` is an :class:`EmissionTable` holding each symbol's image,
+    a nonempty word over the same alphabet, under the symbol's index; the
+    seed's image must start with the seed and have length at least 2.
     """
 
     def __init__(
         self,
         alphabet: Alphabet,
-        images: dict[int, np.ndarray],
+        images: EmissionTable,
         seed: int,
         budget: int = DEFAULT_BUDGET,
     ):
         super().__init__(alphabet, budget)
-        for s in range(len(alphabet)):
-            if s not in images:
-                raise ValueError(f"no image for symbol {alphabet.label(s)!r}")
-            if np.size(images[s]) == 0:
-                raise ValueError(f"empty image for symbol {alphabet.label(s)!r}")
-        self._images = EmissionTable(images[s] for s in range(len(alphabet)))
-        seed_img = self._images[seed]
+        empty = np.flatnonzero(images.lengths == 0)
+        if empty.size:
+            raise ValueError(f"empty image for symbol {alphabet.label(int(empty[0]))!r}")
+        self._images = images
+        seed_img = images[seed]
         if int(seed_img[0]) != seed or seed_img.size < 2:
             raise ValueError(
                 f"seed {alphabet.label(seed)!r} is not prolongable: its image "

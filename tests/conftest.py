@@ -39,6 +39,28 @@ def naive_mealy_run(next_state, out_symbol, initial, inp):
     return np.array(states, np.int32), np.array(out, np.uint8)
 
 
+def naive_transducer_run(next_state, emissions, initial, inp):
+    """Step-by-step transducer run (oracle for the machine-run kernel and
+    run_transducer): in state q on symbol a, emit the word emissions[q][a]
+    (a list of symbol indices) and move to next_state[q, a].  Returns the
+    states visited, each step's key q * |A| + a, the concatenated output
+    and each step's emission length."""
+    na = next_state.shape[1]
+    states, keys, out, lengths = [int(initial)], [], [], []
+    for a in inp.tolist():
+        q = states[-1]
+        keys.append(q * na + a)
+        out.extend(emissions[q][a])
+        lengths.append(len(emissions[q][a]))
+        states.append(int(next_state[q, a]))
+    return (
+        np.array(states, np.int32),
+        np.array(keys, np.int64),
+        np.array(out, np.uint8),
+        np.array(lengths, np.int64),
+    )
+
+
 def naive_stability(w, k, required=()):
     """Stability rows (factor text, count, min window over the first half,
     over all of w) from the definition (oracle for recurrence_stability):

@@ -28,7 +28,8 @@ from apwords import (
     thue_morse_source,
 )
 from apwords import _kernels
-from conftest import bword, naive_mealy_run
+from apwords.words import EmissionTable
+from conftest import bword, naive_mealy_run, naive_transducer_run
 
 
 def identity_machine():
@@ -170,11 +171,82 @@ class TestMealyKernel:
         initial = int(rng.integers(nq))
         inp = rng.integers(0, na, n).astype(np.uint8)
         want_states, want_out = naive_mealy_run(next_state, out_symbol, initial, inp)
-        for kernel in {_kernels.mealy_run, _kernels.mealy_run_numpy}:
-            states, out = kernel(next_state, out_symbol, initial, inp)
-            assert states.dtype == np.int32 and out.dtype == np.uint8
-            assert np.array_equal(states, want_states)
-            assert np.array_equal(out, want_out)
+        table = EmissionTable(out_symbol.reshape(-1, 1))
+        states, _, out = _kernels.mealy_run(next_state, table, initial, inp)
+        assert states.dtype == np.int32 and out.dtype == np.uint8
+        assert np.array_equal(states, want_states)
+        assert np.array_equal(out, want_out)
+
+
+class TestTransducerKernel:
+    """The machine-run kernel and run_transducer against the step-by-step
+    transducer oracle: emission lengths mixed (0-3) or uniform (width 0, 1
+    or 2), on both sides of the blocked run's state-count limit (64)."""
+
+    @given(
+        nq=st.integers(1, 80),
+        na=st.integers(1, 3),
+        width=st.sampled_from([None, 0, 1, 2]),
+        n=st.integers(0, 2000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(nq=1, na=2, width=2, n=4, seed=0)  # a doubler: step lengths all 2
+    @example(nq=64, na=2, width=None, n=1600, seed=1)  # widest blocked, whole blocks
+    @example(nq=65, na=2, width=None, n=1601, seed=2)  # narrowest looped
+    @example(nq=64, na=3, width=2, n=1599, seed=3)  # short last block
+    @example(nq=65, na=2, width=2, n=1600, seed=4)
+    @example(nq=64, na=2, width=0, n=1601, seed=5)  # one symbol in the last block
+    @example(nq=65, na=1, width=0, n=16, seed=6)
+    @example(nq=64, na=2, width=1, n=1600, seed=7)
+    @example(nq=3, na=2, width=None, n=0, seed=8)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_naive(self, nq, na, width, n, seed):
+        rng = np.random.default_rng(seed)
+        next_state = rng.integers(0, nq, (nq, na)).astype(np.int32)
+        lengths = rng.integers(0, 4, (nq, na)) if width is None else np.full((nq, na), width)
+        emissions = [
+            [rng.integers(0, 3, lengths[q, a]).tolist() for a in range(na)]
+            for q in range(nq)
+        ]
+        initial = int(rng.integers(nq))
+        inp = rng.integers(0, na, n).astype(np.uint8)
+        want_states, want_keys, want_out, want_lengths = naive_transducer_run(
+            next_state, emissions, initial, inp
+        )
+
+        table = EmissionTable([word for row in emissions for word in row])
+        states, keys, out = _kernels.mealy_run(next_state, table, initial, inp)
+        assert states.dtype == np.int32 and out.dtype == np.uint8
+        assert np.array_equal(states, want_states)
+        assert np.array_equal(keys, want_keys)
+        assert np.array_equal(out, want_out)
+
+        inputs = Alphabet([str(a) for a in range(na)])
+        outputs = Alphabet("abc")
+        labels = [f"t{q}" for q in range(nq)]
+        transitions = {
+            (labels[q], inputs.label(a)): (
+                labels[next_state[q, a]],
+                [outputs.label(b) for b in emissions[q][a]],
+            )
+            for q in range(nq)
+            for a in range(na)
+        }
+        if width == 1:
+            machine = MealyMachine(
+                inputs,
+                outputs,
+                labels,
+                labels[initial],
+                {key: (q2, em[0]) for key, (q2, em) in transitions.items()},
+            )
+        else:
+            machine = Transducer(inputs, outputs, labels, labels[initial], transitions)
+        trace = run_transducer(machine, FiniteWord(inputs, inp))
+        assert np.array_equal(trace.state_index, want_states)
+        assert np.array_equal(trace.output.data, want_out)
+        assert np.array_equal(trace.step_lengths, want_lengths)
+        assert trace.consumed == n
 
 
 class TestMealyStream:
@@ -194,6 +266,14 @@ class TestMealyStream:
         machine = delay_prepend_automaton(bword("01"))
         stream = run_mealy_stream(machine, periodic_source(bword("1")))
         assert stream.prefix(5).to_text() == "01111"
+
+    def test_rejects_transducer(self, family):
+        doubler = Transducer(
+            BINARY, BINARY, ["q"], "q",
+            {("q", "0"): ("q", ["0", "0"]), ("q", "1"): ("q", ["1", "1"])},
+        )
+        with pytest.raises(ValueError):
+            run_mealy_stream(doubler, family.source())
 
 
 class TestDelayPrepend:
