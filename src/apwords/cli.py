@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import sys
 
 import numpy as np
@@ -49,6 +48,8 @@ from .machines import (
 from .words import (
     Alphabet,
     FiniteWord,
+    _encode,
+    _lookup,
     bar,
     occurrences,
     parse_word,
@@ -82,82 +83,46 @@ class _TamperedFamily(CounterexampleFamily):
         return arr
 
 
-def _not_in_alphabet(label: str, pos: int, alphabet: Alphabet) -> AlphabetError:
-    return AlphabetError(
-        f"symbol {label!r} at position {pos} is not in alphabet "
-        f"{' '.join(alphabet.labels)}"
-    )
-
-
-def _word_for_alphabet(text: str, alphabet: Alphabet) -> FiniteWord:
-    """Parse a word, reporting the offending symbol and its position."""
-    if alphabet.single_char:
-        # Each character is one symbol and every label is ASCII: look the
-        # code points up in a table whose last slot stands for all others.
-        tokens = text.strip()
-        lut = np.full(129, -1, np.int16)
-        lut[[ord(s) for s in alphabet.labels]] = np.arange(len(alphabet))
-        points = np.frombuffer(tokens.encode("utf-32-le", "surrogatepass"), np.uint32)
-        data = lut[np.minimum(points, 128)]
-    else:
-        tokens = text.split()
-        codes = {s: i for i, s in enumerate(alphabet.labels)}
-        data = np.fromiter(
-            map(codes.get, tokens, itertools.repeat(-1)), np.int16, len(tokens)
-        )
-    missing = np.flatnonzero(data < 0)
-    if missing.size:
-        pos = int(missing[0])
-        raise _not_in_alphabet(tokens[pos], pos, alphabet)
-    return FiniteWord._wrap(alphabet, data.astype(np.uint8))
-
-
 def _relabel(word: FiniteWord, alphabet: Alphabet) -> FiniteWord:
-    """``word`` mapped label by label onto ``alphabet``, reporting the first
+    """``word`` mapped label by label onto ``alphabet``: one gather through
+    the indices of the word's labels in ``alphabet``, reporting the first
     symbol that ``alphabet`` lacks and its position."""
-    lut = np.array(
-        [alphabet.index(s) if s in alphabet else -1 for s in word.alphabet], np.int16
-    )
-    data = lut[word.data]
-    missing = np.flatnonzero(data < 0)
-    if missing.size:
-        pos = int(missing[0])
-        raise _not_in_alphabet(word[pos], pos, alphabet)
-    return FiniteWord._wrap(alphabet, data.astype(np.uint8))
+    codes = _lookup(alphabet, word.alphabet.labels)[word.data]
+    return FiniteWord._wrap(alphabet, _encode(alphabet, word, codes))
+
+
+def _family_source(family: str, arg: str | None, seed: str | None):
+    """The source of a generator family: 'paper' with an optional tau
+    file, 'periodic' with its period word, 'morphic' with its rules file
+    and seed symbol."""
+    if family == "paper":
+        tau = load_tau_table(arg) if arg else None
+        return CounterexampleFamily(tau=tau).source()
+    if family == "periodic":
+        return periodic_source(parse_word(arg))
+    return morphic_source(load_morphism_rules(arg), seed)
 
 
 def _build_source(spec: str):
     """Build a source from a generator spec: 'paper', 'paper:TAUFILE',
     'periodic:WORD' or 'morphic:RULESFILE:SEED'."""
     kind, _, rest = spec.partition(":")
-    if kind == "paper":
-        tau = load_tau_table(rest) if rest else None
-        return CounterexampleFamily(tau=tau).source()
-    if kind == "periodic":
-        if not rest:
-            raise FormatError("periodic spec needs a period word: periodic:WORD")
-        return periodic_source(parse_word(rest))
+    seed = None
+    if kind == "periodic" and not rest:
+        raise FormatError("periodic spec needs a period word: periodic:WORD")
     if kind == "morphic":
         # Seeds are one character (rule symbols are); the path may hold colons.
-        rules_path, colon, seed = rest[:-2], rest[-2:-1], rest[-1:]
-        if not rules_path or colon != ":":
+        rest, colon, seed = rest[:-2], rest[-2:-1], rest[-1:]
+        if not rest or colon != ":":
             raise FormatError("morphic spec needs morphic:RULESFILE:SEED (one-symbol SEED)")
-        return morphic_source(load_morphism_rules(rules_path), seed)
-    raise FormatError(f"unknown generator family {kind!r}")
+    elif kind not in ("paper", "periodic"):
+        raise FormatError(f"unknown generator family {kind!r}")
+    return _family_source(kind, rest, seed)
 
 
 def _input_word(args, parser) -> FiniteWord:
     """Resolve the shared word-input options to a finite word."""
-    given = [
-        opt
-        for opt, val in (
-            ("--word", args.word),
-            ("--word-file", args.word_file),
-            ("--gen", args.gen),
-        )
-        if val is not None
-    ]
-    if len(given) != 1:
+    if [args.word, args.word_file, args.gen].count(None) != 2:
         parser.error("give exactly one of --word, --word-file, --gen")
     if args.word is not None:
         return parse_word(args.word)
@@ -191,17 +156,12 @@ def _add_word_input(parser):
 
 
 def cmd_gen(args, parser):
-    if args.family == "paper":
-        tau = load_tau_table(args.tau_file) if args.tau_file else None
-        src = CounterexampleFamily(tau=tau).source()
-    elif args.family == "periodic":
-        if not args.word:
-            parser.error("--family periodic needs --word")
-        src = periodic_source(parse_word(args.word))
-    else:
-        if not args.rules or not args.seed:
-            parser.error("--family morphic needs --rules and --seed")
-        src = morphic_source(load_morphism_rules(args.rules), args.seed)
+    if args.family == "periodic" and not args.word:
+        parser.error("--family periodic needs --word")
+    if args.family == "morphic" and not (args.rules and args.seed):
+        parser.error("--family morphic needs --rules and --seed")
+    arg = {"paper": args.tau_file, "periodic": args.word, "morphic": args.rules}
+    src = _family_source(args.family, arg[args.family], args.seed)
     n = args.length
     if n < 1:
         parser.error("--length must be >= 1")
@@ -216,11 +176,17 @@ def cmd_gen(args, parser):
     return EXIT_OK
 
 
-def cmd_occ(args, parser):
+def _pattern_and_word(args, parser) -> tuple[FiniteWord, FiniteWord]:
+    """``--pattern``, nonempty, over the alphabet of the input word."""
     w = _input_word(args, parser)
-    x = _word_for_alphabet(args.pattern, w.alphabet)
+    x = FiniteWord.from_text(w.alphabet, args.pattern)
     if len(x) == 0:
         raise EmptyPatternError("pattern must be nonempty")
+    return x, w
+
+
+def cmd_occ(args, parser):
+    x, w = _pattern_and_word(args, parser)
     starts = occurrences(x, w)
     # Joined 2^16 starts at a time: one join over all of them would hold
     # every int and every str at once (76 MB more for 10^6 starts).
@@ -231,20 +197,14 @@ def cmd_occ(args, parser):
 
 
 def cmd_minwindow(args, parser):
-    w = _input_word(args, parser)
-    x = _word_for_alphabet(args.pattern, w.alphabet)
-    if len(x) == 0:
-        raise EmptyPatternError("pattern must be nonempty")
+    x, w = _pattern_and_word(args, parser)
     result = min_window(x, w)
     print("absent" if result is None else result)
     return EXIT_OK
 
 
 def cmd_window(args, parser):
-    w = _input_word(args, parser)
-    x = _word_for_alphabet(args.pattern, w.alphabet)
-    if len(x) == 0:
-        raise EmptyPatternError("pattern must be nonempty")
+    x, w = _pattern_and_word(args, parser)
     violation = check_window(x, w, args.window_length)
     if violation is None:
         print("PASS")
@@ -274,7 +234,7 @@ def cmd_run(args, parser):
                 text = fh.read()
         else:
             text = sys.stdin.read()
-        word = _word_for_alphabet(text, machine.input_alphabet)
+        word = FiniteWord.from_text(machine.input_alphabet, text)
     trace = run_transducer(machine, word)
     if args.emit_states:
         # One token table: the output labels, then one "@state" marker per
@@ -313,7 +273,7 @@ def cmd_decompose(args, parser):
 
 def cmd_stability(args, parser):
     w = _input_word(args, parser)
-    required = [_word_for_alphabet(r, w.alphabet) for r in args.require or ()]
+    required = [FiniteWord.from_text(w.alphabet, r) for r in args.require or ()]
     report = recurrence_stability(w, args.max_len, required=required)
     sys.stdout.write(report.to_tsv())
     return EXIT_OK
@@ -321,7 +281,7 @@ def cmd_stability(args, parser):
 
 def cmd_cut_search(args, parser):
     w = _input_word(args, parser)
-    required = [_word_for_alphabet(r, w.alphabet) for r in args.require or ()]
+    required = [FiniteWord.from_text(w.alphabet, r) for r in args.require or ()]
     cuts = [int(c) for c in args.cuts.split(",") if c.strip() != ""]
     cut = eap_cut_search(w, args.max_len, cuts, required=required)
     print("absent" if cut is None else f"cut {cut}")

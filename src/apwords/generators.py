@@ -15,8 +15,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BudgetError, FormatError
-from .machines import Homomorphism
+from .errors import AlphabetError, BudgetError, FormatError
+from .machines import Homomorphism, _content_lines, _emission_word, _image_lines
 from .sources import DEFAULT_BUDGET, InfiniteWordSource, MorphicSource, PeriodicSource
 from .words import BINARY, Alphabet, FiniteWord
 
@@ -180,41 +180,34 @@ def tau_from_table(rows: Sequence[int], default: int = 10) -> Callable[[int], in
 
 
 def load_tau_table(path) -> Callable[[int], int]:
-    """Read a tau table file: one repetition count per line, '#' comments."""
-    rows = []
+    """Read a tau table file: one repetition count (9 or 10) per line, '#'
+    comments."""
     with open(path, "r", encoding="utf-8") as fh:
-        for no, raw in enumerate(fh, start=1):
-            stripped = raw.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            try:
-                rows.append(int(stripped))
-            except ValueError:
-                raise FormatError(f"bad repetition count {stripped!r}", line=no) from None
+        lines = _content_lines(fh.read())
+    rows = []
+    for no, text in lines:
+        try:
+            rows.append(int(text))
+        except ValueError:
+            raise FormatError(f"bad repetition count {text!r}", line=no) from None
+        if rows[-1] not in ALLOWED_REPEATS:
+            raise FormatError(f"repetition count {text} not in {ALLOWED_REPEATS}", line=no)
     return tau_from_table(rows)
 
 
 def load_morphism_rules(path) -> Homomorphism:
     """Read a rules file: one `<symbol> -> <image word>` line per rule,
-    '#' comments.  The alphabet is the rule symbols in file order."""
-    pairs = []
+    '#' comments.  The alphabet is the rule symbols in file order; every
+    character of an image is a symbol (`-` too)."""
     with open(path, "r", encoding="utf-8") as fh:
-        for no, raw in enumerate(fh, start=1):
-            stripped = raw.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            tokens = stripped.split()
-            if len(tokens) != 3 or tokens[1] != "->":
-                raise FormatError(
-                    f"expected '<symbol> -> <image word>', got {stripped!r}", line=no
-                )
-            pairs.append((tokens[0], tokens[2]))
-    if not pairs:
+        rules = _image_lines(_content_lines(fh.read()))
+    if not rules:
         raise FormatError("no rules in morphism file")
-    alphabet = Alphabet([sym for sym, _ in pairs])
-    images = {}
-    for sym, image in pairs:
-        if not alphabet.single_char:
-            raise FormatError("morphism rule files support single-character symbols only")
-        images[sym] = list(image)
+    try:
+        alphabet = Alphabet([sym for _, sym, _ in rules])
+    except AlphabetError as e:
+        raise FormatError(str(e)) from e
+    if not alphabet.single_char:
+        raise FormatError("morphism rule files support single-character symbols only")
+    images = {sym: _emission_word(image, alphabet, no, empty=None) for no, sym, image in rules}
     return Homomorphism(alphabet, alphabet, images)

@@ -16,7 +16,7 @@ import numpy as np
 from . import _kernels
 from .errors import AlphabetError, FormatError
 from .sources import InfiniteWordSource
-from .words import Alphabet, EmissionTable, FiniteWord
+from .words import Alphabet, EmissionTable, FiniteWord, _encode
 
 INFINITE_EVIDENT = "infinite-evident"
 FINITE_SO_FAR = "finite-so-far"
@@ -72,7 +72,7 @@ def _emission(word, alphabet: Alphabet) -> np.ndarray:
         if word.alphabet != alphabet:
             raise AlphabetError(f"emission {word!r} over wrong alphabet")
         return word.data
-    return np.array([alphabet.index(s) for s in word], np.uint8)
+    return _encode(alphabet, word)
 
 
 class Transducer:
@@ -315,8 +315,8 @@ def output_infinite_check(h: Homomorphism, source: InfiniteWordSource, budget: i
 # definition file formats
 
 
-def _split_emission(token: str, alphabet: Alphabet) -> list[str]:
-    if token == "-":
+def _split_emission(token: str, alphabet: Alphabet, empty: str | None) -> list[str]:
+    if token == empty:
         return []
     if token in alphabet:
         return [token]
@@ -335,6 +335,16 @@ def _split_emission(token: str, alphabet: Alphabet) -> list[str]:
         else:
             raise FormatError(f"cannot split emission token {token!r} into symbols")
     return out
+
+
+def _emission_word(token: str, alphabet: Alphabet, no: int, empty="-") -> FiniteWord:
+    """The word emission ``token`` on line ``no`` spells over ``alphabet``;
+    ``empty`` is the token for the empty word (None for no such token)."""
+    try:
+        labels = _split_emission(token, alphabet, empty)
+        return FiniteWord._wrap(alphabet, _encode(alphabet, labels))
+    except (FormatError, AlphabetError) as e:
+        raise FormatError(str(e), line=no) from e
 
 
 def _header(lines, lineno, key):
@@ -370,6 +380,7 @@ def parse_machine(text: str):
         output_alphabet = Alphabet(output_syms)
     except AlphabetError as e:
         raise FormatError(str(e), line=lines[0][0]) from e
+    declared = set(state_labels)
     transitions = {}
     mealy = True
     for no, line in lines[4:]:
@@ -382,29 +393,16 @@ def parse_machine(text: str):
         q, a, _, q2, emission = tokens
         if (q, a) in transitions:
             raise FormatError(f"duplicate transition for ({q!r}, {a!r})", line=no)
-        try:
-            emitted = _split_emission(emission, output_alphabet)
-        except FormatError as e:
-            raise FormatError(str(e), line=no) from e
+        if q not in declared or q2 not in declared or a not in input_alphabet:
+            raise FormatError(f"undeclared state or input symbol in {line!r}", line=no)
+        emitted = _emission_word(emission, output_alphabet, no)
         if len(emitted) != 1 or emission not in output_alphabet:
             mealy = False
         transitions[(q, a)] = (q2, emitted)
-    try:
-        if mealy:
-            return MealyMachine(
-                input_alphabet,
-                output_alphabet,
-                state_labels,
-                initial[0],
-                {k: (q2, em[0]) for k, (q2, em) in transitions.items()},
-            )
-        return Transducer(
-            input_alphabet, output_alphabet, state_labels, initial[0], transitions
-        )
-    except FormatError:
-        raise
-    except AlphabetError as e:
-        raise FormatError(str(e)) from e
+    if mealy:
+        transitions = {k: (q2, em[0]) for k, (q2, em) in transitions.items()}
+    kind = MealyMachine if mealy else Transducer
+    return kind(input_alphabet, output_alphabet, state_labels, initial[0], transitions)
 
 
 def format_machine(machine) -> str:
@@ -421,6 +419,21 @@ def format_machine(machine) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _image_lines(lines) -> list[tuple[int, str, str]]:
+    """``(line number, symbol, image token)`` of each ``sym -> image`` line
+    of a homomorphism or rules file; a symbol may have one line only."""
+    rules = {}
+    for no, line in lines:
+        tokens = line.split()
+        if len(tokens) != 3 or tokens[1] != "->":
+            raise FormatError(f"expected '<symbol> -> <image>', got {line!r}", line=no)
+        sym, _, image = tokens
+        if sym in rules:
+            raise FormatError(f"duplicate image for {sym!r}", line=no)
+        rules[sym] = (no, sym, image)
+    return list(rules.values())
+
+
 def parse_homomorphism(text: str) -> Homomorphism:
     lines = _content_lines(text)
     _, source_syms = _header(lines, 0, "source")
@@ -430,22 +443,10 @@ def parse_homomorphism(text: str) -> Homomorphism:
         target = Alphabet(target_syms)
     except AlphabetError as e:
         raise FormatError(str(e)) from e
-    images = {}
-    for no, line in lines[2:]:
-        tokens = line.split()
-        if len(tokens) != 3 or tokens[1] != "->":
-            raise FormatError(f"expected '<sym> -> <word-or-dash>', got {line!r}", line=no)
-        sym, _, image = tokens
-        if sym in images:
-            raise FormatError(f"duplicate image for {sym!r}", line=no)
-        try:
-            images[sym] = _split_emission(image, target)
-        except FormatError as e:
-            raise FormatError(str(e), line=no) from e
-    try:
-        return Homomorphism(source, target, images)
-    except AlphabetError as e:
-        raise FormatError(str(e)) from e
+    images = {
+        sym: _emission_word(image, target, no) for no, sym, image in _image_lines(lines[2:])
+    }
+    return Homomorphism(source, target, images)
 
 
 def format_homomorphism(h: Homomorphism) -> str:

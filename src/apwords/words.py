@@ -7,6 +7,7 @@ freely shareable.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -184,12 +185,10 @@ class FiniteWord:
     @classmethod
     def from_text(cls, alphabet: Alphabet, text: str) -> FiniteWord:
         """Parse a word from labels: concatenated chars for 1-char alphabets,
-        whitespace-separated tokens otherwise."""
-        if alphabet.single_char:
-            tokens: Sequence[str] = text.strip()
-        else:
-            tokens = text.split()
-        return cls(alphabet, [alphabet.index(t) for t in tokens])
+        whitespace-separated tokens otherwise.  A symbol outside the
+        alphabet raises AlphabetError naming it and its position."""
+        tokens = text.strip() if alphabet.single_char else text.split()
+        return cls._wrap(alphabet, _encode(alphabet, tokens))
 
     @classmethod
     def _wrap(cls, alphabet: Alphabet, arr: np.ndarray) -> FiniteWord:
@@ -241,6 +240,42 @@ class FiniteWord:
 
     def is_empty(self) -> bool:
         return self._data.shape[0] == 0
+
+
+def _lookup(alphabet: Alphabet, tokens: str | Sequence[str]) -> np.ndarray:
+    """Indices of ``tokens`` in ``alphabet`` (int16, -1 for a symbol it
+    lacks).  ``tokens`` is a string, one symbol per character, or a
+    sequence of labels; a string over a 1-char ASCII alphabet is one
+    gather of its code points through a table whose last slot stands for
+    all other code points."""
+    if isinstance(tokens, str) and alphabet.single_char:
+        table = np.full(129, -1, np.int16)
+        table[[ord(s) for s in alphabet.labels]] = np.arange(len(alphabet))
+        points = np.frombuffer(tokens.encode("utf-32-le", "surrogatepass"), np.uint32)
+        return table[np.minimum(points, 128)]
+    return np.fromiter(
+        map(alphabet._index.get, tokens, itertools.repeat(-1)), np.int16, len(tokens)
+    )
+
+
+def _encode(alphabet: Alphabet, symbols, codes: np.ndarray | None = None) -> np.ndarray:
+    """The label encoder: indices of ``symbols`` in ``alphabet`` as uint8.
+
+    ``codes``, each symbol's index or -1, defaults to ``_lookup(alphabet,
+    symbols)``; a caller that gathers them from a table passes them.  The
+    first symbol that ``alphabet`` lacks raises AlphabetError naming it
+    and its position.
+    """
+    if codes is None:
+        codes = _lookup(alphabet, symbols)
+    missing = np.flatnonzero(codes < 0)
+    if missing.size:
+        pos = int(missing[0])
+        raise AlphabetError(
+            f"symbol {symbols[pos]!r} at position {pos} is not in alphabet "
+            f"{' '.join(alphabet.labels)}"
+        )
+    return codes.astype(np.uint8)
 
 
 def render_symbols(alphabet: Alphabet, data: np.ndarray) -> str:
@@ -315,19 +350,20 @@ def parse_word(text: str, alphabet: Alphabet | None = None) -> FiniteWord:
     alphabet is either the caller-supplied one or inferred from the sorted
     distinct symbols of the word line.
     """
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
-    if not lines:
+    numbered = [(no, ln.strip()) for no, ln in enumerate(text.splitlines(), start=1)]
+    numbered = [(no, ln) for no, ln in numbered if ln and not ln.startswith("#")]
+    if not numbered:
         if alphabet is None:
             raise FormatError("empty word input and no alphabet given")
         return FiniteWord(alphabet, [])
-    if lines[0].lstrip().startswith("alphabet:"):
-        labels = lines[0].split(":", 1)[1].split()
-        if not labels:
-            raise FormatError("empty alphabet header", line=1)
-        alphabet = Alphabet(labels)
-        lines = lines[1:]
+    if numbered[0][1].startswith("alphabet:"):
+        no, header = numbered.pop(0)
+        try:
+            alphabet = Alphabet(header.split(":", 1)[1].split())
+        except AlphabetError as e:
+            raise FormatError(str(e), line=no) from e
     # A word may be wrapped over several lines; the lines are concatenated.
-    lines = [ln.strip() for ln in lines]
+    lines = [ln for _, ln in numbered]
     spaced = any(" " in ln for ln in lines)
     body = " ".join(lines) if spaced else "".join(lines)
     try:

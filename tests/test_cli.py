@@ -89,6 +89,26 @@ class TestGen:
         assert code == 3
         assert "budget" in err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0 -> 01\n0 -> 10\n", "error: duplicate image for '0' (line 2)\n"),
+            (
+                "0 -> 02\n1 -> 10\n",
+                "error: symbol '2' at position 1 is not in alphabet 0 1 (line 1)\n",
+            ),
+        ],
+    )
+    def test_malformed_rules_are_usage_errors(self, capsys, tmp_path, text, message):
+        rules = tmp_path / "bad.rules"
+        rules.write_text(text)
+        code, out, err = run_cli(
+            capsys,
+            "gen", "--family", "morphic", "--rules", str(rules),
+            "--seed", "0", "--length", "8",
+        )
+        assert (code, out, err) == (2, "", message)
+
 
 class TestScanCommands:
     def test_occ(self, capsys):
@@ -487,3 +507,44 @@ def test_negative_gen_length_is_parser_error(capsys, verb):
         main([*verb, "--gen", "periodic:1", "--length", "-3"])
     assert exc.value.code == 2
     assert "--length must be >= 0" in capsys.readouterr().err
+
+
+MACHINE_ARGV = ["run", "--input", "01", "--machine"]
+RULES_ARGV = ["gen", "--family", "morphic", "--seed", "0", "--length", "8", "--rules"]
+WORD_ARGV = ["occ", "--pattern", "1", "--word-file"]
+
+
+@pytest.mark.parametrize(
+    "argv, text, line",
+    [
+        (MACHINE_ARGV, MACHINE_TEXT.replace("q1 0 -> q1 1", "q1 0 q1 1"), 8),
+        (MACHINE_ARGV, MACHINE_TEXT.replace("q1 0 -> q1 1", "q1 0 -> q1 12"), 8),
+        (MACHINE_ARGV, MACHINE_TEXT.replace("q1 0 -> q1 1", "q0 0 -> q1 1"), 8),
+        (MACHINE_ARGV, MACHINE_TEXT.replace("q1 0 -> q1 1", "q1 0 -> q9 1"), 8),
+        (MACHINE_ARGV, MACHINE_TEXT.replace("q1 0 -> q1 1", "q1 2 -> q1 1"), 8),
+        (MACHINE_ARGV, "input: 0 1\n", 2),
+        (MACHINE_ARGV, MACHINE_TEXT.replace("input: 0 1", "input: 0 0"), 2),
+        (RULES_ARGV, "0 -> 01\n0 -> 10\n", 2),
+        (RULES_ARGV, "0 -> 01\n1 -> 1-\n", 2),
+        (RULES_ARGV, "0 -> 01\n1 10\n", 2),
+        (RULES_ARGV, "# nothing but a comment\n", None),
+        ("tau", "9\nten\n", 2),
+        ("tau", "9\n8\n", 2),
+        (WORD_ARGV, "alphabet: 0 1\n0110x\n", None),
+        (WORD_ARGV, "# comment\nalphabet: 0 0\n0110\n", 2),
+        (WORD_ARGV, "alphabet:\n0110\n", 1),
+    ],
+)
+def test_malformed_definition_file_is_usage_error(capsys, tmp_path, argv, text, line):
+    path = tmp_path / "definition.txt"
+    path.write_text(text, encoding="utf-8")
+    if argv == "tau":
+        argv = ["occ", "--pattern", "1", "--gen", f"paper:{path}", "--length", "100"]
+    else:
+        argv = [*argv, str(path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    if line is not None:
+        assert err.endswith(f" (line {line})\n")

@@ -138,3 +138,32 @@ class TestDefinitionFiles:
         with pytest.raises(FormatError) as err:
             load_morphism_rules(path)
         assert err.value.line == 2
+
+    def test_morphism_rules_duplicate_symbol(self, tmp_path):
+        path = tmp_path / "rules.txt"
+        path.write_text("0 -> 01\n0 -> 10\n")
+        with pytest.raises(FormatError) as err:
+            load_morphism_rules(path)
+        assert err.value.line == 2
+
+    @pytest.mark.parametrize(
+        "text, bad, line",
+        [
+            ("0 -> 02\n1 -> 10\n", "'2' at position 1", 1),
+            # Every image character is a symbol: "-" is not the empty image.
+            ("0 -> 01\n1 -> -\n", "'-' at position 0", 2),
+        ],
+    )
+    def test_morphism_rules_image_outside_alphabet(self, tmp_path, text, bad, line):
+        path = tmp_path / "rules.txt"
+        path.write_text(text)
+        with pytest.raises(FormatError, match=bad) as err:
+            load_morphism_rules(path)
+        assert err.value.line == line
+
+    def test_tau_table_count_outside_family(self, tmp_path):
+        path = tmp_path / "tau.txt"
+        path.write_text("9\n# comment\n8\n")
+        with pytest.raises(FormatError) as err:
+            load_tau_table(path)
+        assert err.value.line == 3

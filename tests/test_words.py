@@ -92,6 +92,21 @@ class TestFiniteWord:
         expected = sep.join(labels[i] for i in data)
         assert render_symbols(a, data) == expected
         assert FiniteWord(a, data).to_text() == expected
+        assert np.array_equal(FiniteWord.from_text(a, expected).data, data)
+
+    @pytest.mark.parametrize("labels, bad", [("01", "x"), ("01", "é"), (("lo", "hi"), "mid")])
+    @pytest.mark.parametrize("pos", [0, 2, 4])
+    def test_unknown_symbol_named_with_position(self, labels, bad, pos):
+        a = Alphabet(labels)
+        symbols = [a.label(i % 2) for i in range(5)]
+        symbols[pos] = bad
+        text = ("" if a.single_char else " ").join(symbols)
+        message = f"symbol {bad!r} at position {pos} is not in alphabet {' '.join(a.labels)}"
+        with pytest.raises(AlphabetError) as err:
+            FiniteWord.from_text(a, text)
+        assert str(err.value) == message
+        with pytest.raises(FormatError, match=message):
+            parse_word(f"alphabet: {' '.join(a.labels)}\n{text}\n")
 
     def test_immutable(self):
         w = bword("101")
