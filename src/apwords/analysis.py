@@ -281,7 +281,9 @@ def recurrence_stability(
     gives every factor's first-half count and minimal window.  The other
     starts come from one scan per factor of the second half only, the text
     from half - L + 1 on.  A required factor that the listing does not
-    produce is scanned once over all of w.
+    produce is scanned once over all of w.  The word is packed once
+    (``_kernels.pack``), and every scan reads those codes, sliced where its
+    text starts.
     """
     if len(w) < 2:
         raise ValueError("stability needs a word of length >= 2")
@@ -304,6 +306,7 @@ def recurrence_stability(
     index = np.arange(half, dtype=np.int64)
     packed, starts, gaps = (np.empty(half, np.int64) for _ in range(3))
     head = np.empty(half, bool)
+    codes = _kernels.pack(data)
     entries = []
     for length in range(1, min(k, half) + 1):
         m = half - length + 1
@@ -329,7 +332,7 @@ def recurrence_stability(
         np.cumsum(h, out=g)
         rank[s] = g
         offset = half - length + 1
-        text = data[offset:]
+        text, text_codes = data[offset:], codes[offset:]
         for start, last_i, gap_i, count, window in zip(
             first.tolist(),
             last.tolist(),
@@ -340,7 +343,7 @@ def recurrence_stability(
             pat = data[start : start + length]
             if unlisted:
                 unlisted.pop(pat.tobytes(), None)
-            later = _kernels.find_occurrences(text, pat)
+            later = _kernels.find_occurrences(text, pat, packed=text_codes)
             if later.size:
                 gap_i = max(gap_i, int(later[0]) + offset - last_i)
                 if later.size > 1:
@@ -355,7 +358,9 @@ def recurrence_stability(
                 )
             )
     entries += [
-        _stability_entry(alphabet, pat, _kernels.find_occurrences(data, pat), half, n)
+        _stability_entry(
+            alphabet, pat, _kernels.find_occurrences(data, pat, packed=codes), half, n
+        )
         for pat in unlisted.values()
     ]
     entries.sort(key=lambda e: (len(e.factor), e.factor.data.tobytes()))

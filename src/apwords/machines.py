@@ -356,6 +356,15 @@ def _header(lines, lineno, key):
     return no, text.split(":", 1)[1].split()
 
 
+def _header_alphabet(lines, lineno, key) -> Alphabet:
+    """The alphabet a header line declares; a fault carries that line."""
+    no, labels = _header(lines, lineno, key)
+    try:
+        return Alphabet(labels)
+    except AlphabetError as e:
+        raise FormatError(str(e), line=no) from e
+
+
 def _content_lines(text: str):
     out = []
     for no, raw in enumerate(text.splitlines(), start=1):
@@ -369,18 +378,17 @@ def parse_machine(text: str):
     """Parse a machine definition file; returns a MealyMachine when every
     emission is a single output symbol, otherwise a Transducer."""
     lines = _content_lines(text)
-    _, input_syms = _header(lines, 0, "input")
-    _, output_syms = _header(lines, 1, "output")
-    _, state_labels = _header(lines, 2, "states")
+    input_alphabet = _header_alphabet(lines, 0, "input")
+    output_alphabet = _header_alphabet(lines, 1, "output")
+    no, state_labels = _header(lines, 2, "states")
+    declared = set(state_labels)
+    if len(declared) != len(state_labels):
+        raise FormatError(f"duplicate state labels in {tuple(state_labels)}", line=no)
     no, initial = _header(lines, 3, "initial")
     if len(initial) != 1:
         raise FormatError("initial header must name exactly one state", line=no)
-    try:
-        input_alphabet = Alphabet(input_syms)
-        output_alphabet = Alphabet(output_syms)
-    except AlphabetError as e:
-        raise FormatError(str(e), line=lines[0][0]) from e
-    declared = set(state_labels)
+    if initial[0] not in declared:
+        raise FormatError(f"initial state {initial[0]!r} not declared", line=no)
     transitions = {}
     mealy = True
     for no, line in lines[4:]:
@@ -436,16 +444,13 @@ def _image_lines(lines) -> list[tuple[int, str, str]]:
 
 def parse_homomorphism(text: str) -> Homomorphism:
     lines = _content_lines(text)
-    _, source_syms = _header(lines, 0, "source")
-    _, target_syms = _header(lines, 1, "target")
-    try:
-        source = Alphabet(source_syms)
-        target = Alphabet(target_syms)
-    except AlphabetError as e:
-        raise FormatError(str(e)) from e
-    images = {
-        sym: _emission_word(image, target, no) for no, sym, image in _image_lines(lines[2:])
-    }
+    source = _header_alphabet(lines, 0, "source")
+    target = _header_alphabet(lines, 1, "target")
+    images = {}
+    for no, sym, image in _image_lines(lines[2:]):
+        if sym not in source:
+            raise FormatError(f"image for {sym!r}, which is not a source symbol", line=no)
+        images[sym] = _emission_word(image, target, no)
     return Homomorphism(source, target, images)
 
 

@@ -257,20 +257,37 @@ class TestStability:
         assert lines[1].split("\t") == ["a", "3", "1", "2", "no"]
 
 
+def _periodic(labels):
+    """Words over `labels` that are periodic after a short foreign prefix."""
+    return st.tuples(
+        st.text(labels, max_size=3), st.text(labels, min_size=1, max_size=4), st.integers(2, 40)
+    ).map(lambda t: (labels, (t[0] + t[1] * t[2])[: t[2]]))
+
+
+def _random(labels):
+    return st.text(labels, min_size=2, max_size=40).map(lambda t: (labels, t))
+
+
+# The 5- and 17-letter words pack at 4 and 8 bits per symbol when they hold
+# their alphabet's last letter, at fewer bits when they do not.
+FIVE, SEVENTEEN = "abcde", "abcdefghijklmnopq"
 WORD_CASES = st.one_of(
     st.integers(2, 40).map(lambda n: ("a", "a" * n)),
-    st.tuples(
-        st.text("ab", max_size=3), st.text("ab", min_size=1, max_size=4), st.integers(2, 40)
-    ).map(lambda t: ("ab", (t[0] + t[1] * t[2])[: t[2]])),
+    _periodic("ab"),
     st.integers(2, 40).map(lambda n: ("01", thue_morse_source().prefix(n).to_text())),
-    st.text("abc", min_size=2, max_size=40).map(lambda t: ("abc", t)),
+    _random("abc"),
+    _periodic(FIVE),
+    _random(FIVE),
+    _periodic(SEVENTEEN),
+    _random(SEVENTEEN),
 )
 
 
 @st.composite
 def stability_cases(draw):
     """(labels, word, required factors, cuts): unary, periodic (after a
-    short foreign prefix), Thue-Morse and 3-letter words."""
+    short foreign prefix), Thue-Morse, and random 3-, 5- and 17-letter
+    words; periodic 5- and 17-letter words."""
     labels, text = draw(WORD_CASES)
     required = draw(st.lists(st.text(labels, min_size=1, max_size=len(text) + 3), max_size=3))
     cuts = sorted(draw(st.sets(st.integers(0, (len(text) - 1) // 2), min_size=1, max_size=3)))
@@ -285,6 +302,9 @@ class TestStabilityOracle:
     @example(case=("ab", "aabab", ["ab", "ab", "b"], [0, 1]), k=2)  # duplicated, listed
     @example(case=("a", "a" * 9, ["a" * 10, "aa"], [0, 4]), k=13)  # unary, k > half
     @example(case=("abc", "cabcabcab", [], [0, 1, 2]), k=4)  # periodic after a cut
+    @example(case=(FIVE, "eabcdeabcde", ["e", "ea"], [0, 1]), k=3)  # 4 bits
+    @example(case=(SEVENTEEN, "qaqbqaqbqaq", ["qa", "c"], [0, 2]), k=3)  # 8 bits
+    @example(case=(SEVENTEEN, "abababab", ["q", "abq"], [0, 1]), k=2)  # wider required
     @settings(max_examples=150, deadline=None)
     def test_matches_definition(self, case, k):
         labels, text, required, cuts = case

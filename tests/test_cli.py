@@ -5,7 +5,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from apwords import CounterexampleFamily, FiniteWord, parse_homomorphism, parse_machine
+from apwords import (
+    CounterexampleFamily,
+    FiniteWord,
+    FormatError,
+    parse_homomorphism,
+    parse_machine,
+)
 from apwords.cli import main
 from conftest import bword
 from test_machines import MACHINE_TEXT, TRANSDUCER_TEXT
@@ -533,9 +539,20 @@ WORD_ARGV = ["occ", "--pattern", "1", "--word-file"]
         (WORD_ARGV, "alphabet: 0 1\n0110x\n", None),
         (WORD_ARGV, "# comment\nalphabet: 0 0\n0110\n", 2),
         (WORD_ARGV, "alphabet:\n0110\n", 1),
+        (MACHINE_ARGV, MACHINE_TEXT.replace("output: 0 1", "output: x x"), 3),
+        (MACHINE_ARGV, MACHINE_TEXT.replace("states: q0 q1", "states: q0 q0"), 4),
+        (MACHINE_ARGV, MACHINE_TEXT.replace("initial: q0", "initial: q9"), 5),
+        ("homomorphism", "source: 0 1\ntarget: a\n0 -> a\n1 -> -\n2 -> aa\n", 5),
+        ("homomorphism", "source: 0 1\n# target\ntarget: a a\n0 -> a\n1 -> a\n", 3),
     ],
 )
 def test_malformed_definition_file_is_usage_error(capsys, tmp_path, argv, text, line):
+    if argv == "homomorphism":
+        # No verb reads a homomorphism file; main exits 2 on a FormatError.
+        with pytest.raises(FormatError) as exc:
+            parse_homomorphism(text)
+        assert exc.value.line == line
+        return
     path = tmp_path / "definition.txt"
     path.write_text(text, encoding="utf-8")
     if argv == "tau":

@@ -1,44 +1,49 @@
 import time
+from unittest.mock import patch
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from apwords import Alphabet, FiniteWord
-from apwords._kernels import find_occurrences
+from apwords import Alphabet, FiniteWord, _kernels
+from apwords._kernels import find_occurrences, pack
 from conftest import naive_occurrences
 
-DIGITS = Alphabet("012")
+SYMBOLS = Alphabet(str(i) for i in range(256))
 
 
 @st.composite
 def scan_cases(draw):
-    """A text of up to 300 symbols over 1-3 letters (random, unary or
-    periodic) and a pattern of 1-40 symbols: random, or a factor of the
+    """A text of up to 300 symbols over 1, 2, 3, 4, 5, 16, 17 or 256 letters
+    (random, unary or periodic), so that its largest symbol needs 1, 2, 4
+    or 8 bits, and a pattern of 1-40 symbols: random, or a factor of the
     text, possibly with one symbol changed, so that candidates stay dense
-    up to the changed symbol."""
-    letters = draw(st.integers(1, 3))
-    symbol = st.sampled_from("012"[:letters])
+    up to the changed symbol.  Both are lists of symbol indices."""
+    letters = draw(st.sampled_from([1, 2, 3, 4, 5, 16, 17, 256]))
+    symbol = st.integers(0, letters - 1)
     kind = draw(st.sampled_from(["random", "unary", "periodic"]))
     n = draw(st.integers(0, 300))
     if kind == "random":
-        text = "".join(draw(st.lists(symbol, min_size=n, max_size=n)))
+        text = draw(st.lists(symbol, min_size=n, max_size=n))
     elif kind == "unary":
-        text = draw(symbol) * n
+        text = [draw(symbol)] * n
     else:
-        period = "".join(draw(st.lists(symbol, min_size=1, max_size=6)))
+        period = draw(st.lists(symbol, min_size=1, max_size=6))
         text = (period * n)[:n]
     m = draw(st.integers(1, 40))
     if m <= n and draw(st.booleans()):
         i = draw(st.integers(0, n - m))
-        pattern = [int(c) for c in text[i : i + m]]
+        pattern = text[i : i + m]
         if letters > 1 and draw(st.booleans()):
             j = draw(st.integers(0, m - 1))
             pattern[j] = (pattern[j] + draw(st.integers(1, letters - 1))) % letters
-        pattern = "".join(map(str, pattern))
     else:
-        pattern = "".join(draw(st.lists(symbol, min_size=m, max_size=m)))
+        pattern = draw(st.lists(symbol, min_size=m, max_size=m))
     return text, pattern
+
+
+def _word(symbols):
+    return FiniteWord(SYMBOLS, [int(c) for c in symbols])
 
 
 def _array(symbols, offset, readonly):
@@ -78,8 +83,54 @@ class TestFindOccurrences:
         starts = find_occurrences(t, p)
         assert starts.dtype == np.int64
         assert np.all(np.diff(starts) > 0)
-        x, w = FiniteWord.from_text(DIGITS, pattern), FiniteWord.from_text(DIGITS, text)
-        assert starts.tolist() == naive_occurrences(x, w)
+        assert starts.tolist() == naive_occurrences(_word(pattern), _word(text))
+
+    @given(scan_cases(), st.integers(0, 300), st.integers(0, 300))
+    @example(([4] * 10 + [0, 1, 2, 3] * 10, [1, 2, 3, 0, 1]), 10, 40)
+    @example(([16, 1, 0, 1] * 10, [1, 0, 1]), 3, 30)
+    @settings(max_examples=300)
+    def test_slice_reads_the_words_codes(self, case, a, size):
+        # The codes of a word serve each of its slices, also when the slice
+        # alone would pack narrower and when codes past its end hold
+        # symbols of the word.  The slice's own head is a pattern that
+        # occurs in it.
+        text, pattern = case
+        a = min(a, len(text))
+        b = a + min(size, len(text) - a)
+        word = _array(text, 0, False)
+        codes = pack(word)
+        for x in (pattern, text[a : a + len(pattern)] or pattern):
+            p = _array(x, 0, False)
+            starts = find_occurrences(word[a:b], p, packed=codes[a:])
+            assert starts.dtype == np.int64
+            assert starts.tolist() == find_occurrences(word[a:b], p).tolist()
+            assert starts.tolist() == naive_occurrences(_word(x), _word(text[a:b]))
+
+    @given(scan_cases(), st.sampled_from([1, 3, 8, 64]))
+    @settings(max_examples=200)
+    def test_chunk_edges(self, case, chunk):
+        # Whole-text passes run in chunks of _CHUNK positions; tiny chunks
+        # put chunk edges inside these short texts.
+        text, pattern = case
+        with patch.object(_kernels, "_CHUNK", chunk):
+            starts = find_occurrences(_array(text, 0, False), _array(pattern, 0, False))
+        assert starts.tolist() == naive_occurrences(_word(pattern), _word(text))
+
+    @given(scan_cases(), st.sampled_from([1, 3, _kernels._CHUNK]))
+    @settings(max_examples=150)
+    def test_pack_matches_definition(self, case, chunk):
+        text = case[0]
+        with patch.object(_kernels, "_CHUNK", chunk):
+            codes = pack(_array(text, 1, True))
+        top = max(text, default=0)
+        bits = 1 if top < 2 else 2 if top < 4 else 4 if top < 16 else 8
+        padded = list(text) + [0] * 7
+        expected = [
+            sum(padded[i + q] << (bits * q) for q in range(8 // bits))
+            for i in range(len(text))
+        ]
+        assert codes.dtype == np.uint8 and codes.bits == bits
+        assert codes.tolist() == expected
 
     def test_long_unary_pattern_in_bounded_time(self):
         # Every position matches all 1000 symbols: the worst case of a
