@@ -24,6 +24,7 @@ from .analysis import (
 )
 from .errors import (
     AlphabetError,
+    BoundsError,
     BudgetError,
     EmptyPatternError,
     FormatError,
@@ -54,6 +55,7 @@ from .words import (
     occurrences,
     parse_word,
     render_spaced,
+    render_starts,
     render_symbols,
     spaced_tokens,
 )
@@ -188,11 +190,13 @@ def _pattern_and_word(args, parser) -> tuple[FiniteWord, FiniteWord]:
 def cmd_occ(args, parser):
     x, w = _pattern_and_word(args, parser)
     starts = occurrences(x, w)
-    # Joined 2^16 starts at a time: one join over all of them would hold
-    # every int and every str at once (76 MB more for 10^6 starts).
-    step = CHUNK >> 4
-    pieces = (starts[i : i + step].tolist() for i in range(0, starts.size, step))
-    print(" ".join(" ".join(map(str, p)) for p in pieces))
+    # Written 2^18 starts at a time, so the whole text is never held at once.
+    out, step = sys.stdout, CHUNK >> 2
+    for i in range(0, starts.size, step):
+        if i:
+            out.write(" ")
+        out.write(render_starts(starts[i : i + step]))
+    out.write("\n")
     return EXIT_OK
 
 
@@ -413,7 +417,7 @@ def main(argv=None):
         line = f" (line {e.line})" if e.line else ""
         print(f"error: {e}{line}", file=sys.stderr)
         return EXIT_USAGE
-    except EmptyPatternError as e:
+    except (EmptyPatternError, BoundsError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except (BudgetError, InsufficientDataError) as e:

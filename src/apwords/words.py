@@ -26,8 +26,8 @@ MAX_ALPHABET = 256
 
 class EmissionTable:
     """Words looked up by integer key: the emission store shared by
-    transducers, homomorphisms, morphic sources and label rendering
-    (internal).
+    transducers, homomorphisms, morphic sources and the rendering of
+    multi-character labels (internal).
 
     The words are kept as rows of a zero-padded ``(keys, width)`` uint8
     table, ``width`` the longest word's length, plus a mask of the valid
@@ -102,7 +102,7 @@ def render_spaced(tokens: EmissionTable, keys: np.ndarray) -> str:
 class Alphabet:
     """An ordered list of distinct symbol labels."""
 
-    __slots__ = ("_labels", "_index", "_single_char", "_tokens")
+    __slots__ = ("_labels", "_index", "_single_char", "_render")
 
     def __init__(self, labels: Iterable[str]):
         labels = tuple(str(s) for s in labels)
@@ -117,12 +117,13 @@ class Alphabet:
         self._labels = labels
         self._index = {s: i for i, s in enumerate(labels)}
         self._single_char = all(len(s) == 1 and ord(s) < 128 for s in labels)
-        # Text rendering: 1-char ASCII labels are concatenated, others are
-        # separated by single spaces.
+        # Text rendering: 1-char ASCII labels are concatenated through a
+        # ``bytes.translate`` table (0xff, not ASCII, past the last index),
+        # others are separated by single spaces.
         if self._single_char:
-            self._tokens = EmissionTable([ord(s)] for s in labels)
+            self._render = bytes(map(ord, labels)).ljust(256, b"\xff")
         else:
-            self._tokens = spaced_tokens(labels)
+            self._render = spaced_tokens(labels)
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -279,10 +280,66 @@ def _encode(alphabet: Alphabet, symbols, codes: np.ndarray | None = None) -> np.
 
 
 def render_symbols(alphabet: Alphabet, data: np.ndarray) -> str:
-    """Render an index array as label text (see FiniteWord.from_text)."""
+    """Render an index array as label text (see FiniteWord.from_text).
+
+    One-character labels are the index bytes passed through the alphabet's
+    ``bytes.translate`` table; other labels expand through its spaced token
+    table (``render_spaced``).
+    """
     if alphabet.single_char:
-        return alphabet._tokens.expand(data).tobytes().decode("ascii")
-    return render_spaced(alphabet._tokens, data)
+        raw = np.ascontiguousarray(data, np.uint8).tobytes()
+        return raw.translate(alphabet._render).decode("ascii")
+    return render_spaced(alphabet._render, data)
+
+
+def _quads() -> np.ndarray:
+    """"0000" to "9999" as 4 ASCII bytes each, one uint32 per number."""
+    digits = np.arange(10**4)[:, None] // np.array([1000, 100, 10, 1]) % 10
+    quads = (digits + ord("0")).astype(np.uint8).view(np.uint32).ravel()
+    quads.flags.writeable = False
+    return quads
+
+
+_QUADS = _quads()
+
+
+def render_starts(starts: np.ndarray) -> str:
+    """Ascending non-negative integers as decimal text joined by single
+    spaces, equal to ``" ".join(map(str, starts.tolist()))``.
+
+    Each value is split into g groups of four digits (g from the largest
+    value's digit count), and each group's 4 bytes are gathered from
+    ``_QUADS``.  The values with d digits form one run of the ascending
+    array; each run's last d digit columns and a space column are copied
+    into the output as one ``(count, d + 1)`` block.
+    """
+    starts = np.asarray(starts)
+    n = starts.shape[0]
+    if n == 0:
+        return ""
+    top = int(starts[-1])
+    width = len(str(top))
+    groups = -(-width // 4)
+    x = starts.astype(np.uint32 if top < 1 << 32 else np.uint64)
+    quads = np.empty((n, groups), np.uint32)
+    for j in range(groups - 1, 0, -1):
+        x, low = np.divmod(x, 10**4)
+        quads[:, j] = _QUADS[low]
+    quads[:, 0] = _QUADS[x]
+    digits = quads.view(np.uint8)
+    # runs[d - 1] = (lo, hi): the values with d digits are starts[lo:hi].
+    edges = np.searchsorted(starts, [10**d for d in range(1, width)]).tolist()
+    runs = list(zip([0, *edges], [*edges, n]))
+    out = np.empty(sum((hi - lo) * (d + 1) for d, (lo, hi) in enumerate(runs, 1)), np.uint8)
+    pos = 0
+    for d, (lo, hi) in enumerate(runs, 1):
+        block = out[pos : pos + (hi - lo) * (d + 1)].reshape(hi - lo, d + 1)
+        # One column at a time: a (count, d) copy runs an inner loop per row.
+        for k in range(d if hi > lo else 0):
+            block[:, k] = digits[lo:hi, 4 * groups - d + k]
+        block[:, d] = ord(" ")
+        pos += block.size
+    return out[:-1].tobytes().decode("ascii")
 
 
 @dataclass(frozen=True)

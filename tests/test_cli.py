@@ -6,12 +6,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from apwords import (
+    BoundsError,
     CounterexampleFamily,
     FiniteWord,
     FormatError,
     parse_homomorphism,
     parse_machine,
 )
+from apwords import cli
 from apwords.cli import main
 from conftest import bword
 from test_machines import MACHINE_TEXT, TRANSDUCER_TEXT
@@ -167,6 +169,14 @@ class TestScanCommands:
 
     def test_occ_starts_span_several_slices(self, capsys):
         n = 2 * 2**16 + 5
+        code, out, _ = run_cli(
+            capsys, "occ", "--pattern", "0", "--gen", "periodic:0", "--length", str(n)
+        )
+        assert (code, out) == (0, " ".join(map(str, range(n))) + "\n")
+
+    def test_occ_starts_span_several_chunks(self, capsys):
+        # Starts written in two chunks of 2^18, passing 10^4 and 10^5.
+        n = 2 * 2**18 + 5
         code, out, _ = run_cli(
             capsys, "occ", "--pattern", "0", "--gen", "periodic:0", "--length", str(n)
         )
@@ -502,6 +512,17 @@ def test_rejected_argument_is_usage_error(capsys, argv):
     assert code == 2
     assert captured.out == ""
     assert "error: " in captured.err and "Traceback" not in captured.err
+
+
+def test_bounds_error_is_usage_error(capsys, monkeypatch):
+    def out_of_range(args, parser):
+        raise BoundsError("segment end 9 out of range for |w|=5")
+
+    monkeypatch.setattr(cli, "cmd_occ", out_of_range)
+    code, out, err = run_cli(capsys, "occ", "--pattern", "1", "--word", "10011")
+    assert (code, out) == (2, "")
+    assert err == "error: segment end 9 out of range for |w|=5\n"
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(

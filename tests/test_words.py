@@ -19,10 +19,15 @@ from apwords import (
     parse_word,
     segment,
 )
-from apwords.words import EmissionTable, render_symbols
+from apwords.words import EmissionTable, render_starts, render_symbols
 from conftest import bword, naive_occurrences
 
 A2 = "1001101100011001001110011"
+# Every one-character ASCII label an alphabet accepts, non-printing ones included.
+ASCII_LABELS = tuple(c for c in map(chr, range(128)) if not c.isspace())
+# Values where a start's digit count or its integer width changes.
+EDGE_STARTS = (0, 9, 10, 9999, 10**4, 10**8 - 1, 10**8, 10**8 + 1,
+               2**32 - 1, 2**32, 2**32 + 1, 10**12)
 
 
 class TestAlphabet:
@@ -71,14 +76,19 @@ class TestFiniteWord:
         assert len(w) == 3
 
     @given(
-        st.lists(
-            st.text(st.characters(blacklist_categories=("Z", "C")), min_size=1, max_size=4),
-            min_size=1,
-            max_size=8,
-            unique=True,
+        st.one_of(
+            st.lists(
+                st.text(st.characters(blacklist_categories=("Z", "C")), min_size=1, max_size=4),
+                min_size=1,
+                max_size=8,
+                unique=True,
+            ),
+            st.lists(st.sampled_from(ASCII_LABELS), min_size=1, unique=True),
         ),
         st.lists(st.integers(0, 255), max_size=200),
     )
+    @example(list(ASCII_LABELS), list(range(len(ASCII_LABELS))))
+    @example(["\x01", "\x7f", "\x00"], [1, 0, 2, 1])
     @example(["ab", "c", "de"], [0, 1, 2, 2, 0])
     @example(["é", "ü"], [1, 0, 1])  # one character each, but not ASCII
     @example(["日本", "x", "\udcff"], [2, 0, 1, 2])  # a lone surrogate passes through
@@ -93,6 +103,26 @@ class TestFiniteWord:
         assert render_symbols(a, data) == expected
         assert FiniteWord(a, data).to_text() == expected
         assert np.array_equal(FiniteWord.from_text(a, expected).data, data)
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from(EDGE_STARTS),
+                st.integers(0, 20),
+                st.integers(0, 10**12),
+            ),
+            unique=True,
+            max_size=60,
+        )
+    )
+    @example([])
+    @example([0])
+    @example([10**12])
+    @example(list(EDGE_STARTS))
+    @settings(max_examples=300, deadline=None)
+    def test_render_starts_matches_join(self, values):
+        v = np.array(sorted(values), np.int64)
+        assert render_starts(v) == " ".join(map(str, v.tolist()))
 
     @pytest.mark.parametrize("labels, bad", [("01", "x"), ("01", "é"), (("lo", "hi"), "mid")])
     @pytest.mark.parametrize("pos", [0, 2, 4])
