@@ -2,7 +2,8 @@
 
 Exit codes: 0 success / all checks pass, 1 verification failure,
 2 usage or parse error, 3 budget or insufficient data, 4 data mismatch
-(wrong alphabet).
+(wrong alphabet), each error's code from the one table ``EXIT_CODES``.
+Long outputs (``gen``, ``occ``, ``run``) are written in slices by ``_write``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .analysis import (
 )
 from .errors import (
     AlphabetError,
-    BoundsError,
+    ApwordsError,
     BudgetError,
     EmptyPatternError,
     FormatError,
@@ -66,6 +67,13 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_MISMATCH = 4
 
+# The exit code of each error class main reports; the first match wins.
+EXIT_CODES = (
+    ((BudgetError, InsufficientDataError), EXIT_BUDGET),
+    (AlphabetError, EXIT_MISMATCH),
+    ((ApwordsError, OSError, ValueError), EXIT_USAGE),
+)
+
 CHUNK = 1 << 20
 MAX_VERIFY_LEVEL = 4
 
@@ -80,7 +88,6 @@ class _TamperedFamily(CounterexampleFamily):
     def prefix_array(self, length):
         arr = super().prefix_array(length)
         if self.tamper_index < arr.shape[0]:
-            arr = arr.copy()
             arr[self.tamper_index] ^= 1
         return arr
 
@@ -143,6 +150,17 @@ def _generated_word(args, parser) -> FiniteWord:
     return _build_source(args.gen).prefix(args.length)
 
 
+def _write(render, items, sep, step=CHUNK):
+    """Write ``render`` of each ``step``-item slice of ``items`` to stdout,
+    joined by ``sep``, then a newline: the whole text is never held at once."""
+    out = sys.stdout
+    for i in range(0, len(items), step):
+        if i:
+            out.write(sep)
+        out.write(render(items[i : i + step]))
+    out.write("\n")
+
+
 def _add_word_input(parser):
     parser.add_argument("--word", help="word given inline")
     parser.add_argument("--word-file", help="word file (optional 'alphabet:' header)")
@@ -164,17 +182,10 @@ def cmd_gen(args, parser):
         parser.error("--family morphic needs --rules and --seed")
     arg = {"paper": args.tau_file, "periodic": args.word, "morphic": args.rules}
     src = _family_source(args.family, arg[args.family], args.seed)
-    n = args.length
-    if n < 1:
+    if args.length < 1:
         parser.error("--length must be >= 1")
-    out = sys.stdout
     sep = "" if src.alphabet.single_char else " "
-    data = src.prefix_array(n)
-    for start in range(0, n, CHUNK):
-        if start:
-            out.write(sep)
-        out.write(render_symbols(src.alphabet, data[start : start + CHUNK]))
-    out.write("\n")
+    _write(functools.partial(render_symbols, src.alphabet), src.prefix_array(args.length), sep)
     return EXIT_OK
 
 
@@ -189,14 +200,7 @@ def _pattern_and_word(args, parser) -> tuple[FiniteWord, FiniteWord]:
 
 def cmd_occ(args, parser):
     x, w = _pattern_and_word(args, parser)
-    starts = occurrences(x, w)
-    # Written 2^18 starts at a time, so the whole text is never held at once.
-    out, step = sys.stdout, CHUNK >> 2
-    for i in range(0, starts.size, step):
-        if i:
-            out.write(" ")
-        out.write(render_starts(starts[i : i + step]))
-    out.write("\n")
+    _write(render_starts, occurrences(x, w), " ", CHUNK >> 2)
     return EXIT_OK
 
 
@@ -248,9 +252,11 @@ def cmd_run(args, parser):
         starts = np.cumsum(trace.step_lengths) - trace.step_lengths
         marks = len(labels) + trace.state_index[:-1].astype(np.int64)
         keys = np.insert(trace.output.data.astype(np.int64), starts, marks)
-        print(render_spaced(tokens, keys))
+        _write(functools.partial(render_spaced, tokens), keys, " ")
     else:
-        print(trace.output.to_text())
+        alphabet = trace.output.alphabet
+        sep = "" if alphabet.single_char else " "
+        _write(functools.partial(render_symbols, alphabet), trace.output.data, sep)
     return EXIT_OK
 
 
@@ -262,16 +268,12 @@ def cmd_decompose(args, parser):
     automaton, hom = decompose_transducer(machine)
     auto_text = format_machine(automaton)
     hom_text = format_homomorphism(hom)
-    if args.automaton_out:
-        with open(args.automaton_out, "w", encoding="utf-8") as fh:
-            fh.write(auto_text)
-    if args.homomorphism_out:
-        with open(args.homomorphism_out, "w", encoding="utf-8") as fh:
-            fh.write(hom_text)
+    for path, text in ((args.automaton_out, auto_text), (args.homomorphism_out, hom_text)):
+        if path:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
     if not (args.automaton_out or args.homomorphism_out):
-        sys.stdout.write(auto_text)
-        sys.stdout.write("\n")
-        sys.stdout.write(hom_text)
+        sys.stdout.write(f"{auto_text}\n{hom_text}")
     return EXIT_OK
 
 
@@ -413,25 +415,14 @@ def main(argv=None):
     command = globals()["cmd_" + args.verb.replace("-", "_")]
     try:
         return command(args, parser)
-    except FormatError as e:
-        line = f" (line {e.line})" if e.line else ""
-        print(f"error: {e}{line}", file=sys.stderr)
-        return EXIT_USAGE
-    except (EmptyPatternError, BoundsError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except (BudgetError, InsufficientDataError) as e:
+    except (ApwordsError, OSError, ValueError) as e:
         msg = str(e)
+        if isinstance(e, FormatError) and e.line:
+            msg += f" (line {e.line})"
         if isinstance(e, InsufficientDataError) and e.required is not None:
             msg += f"; minimal sufficient length is {e.required}"
         print(f"error: {msg}", file=sys.stderr)
-        return EXIT_BUDGET
-    except AlphabetError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_MISMATCH
-    except (OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+        return next(code for classes, code in EXIT_CODES if isinstance(e, classes))
 
 
 if __name__ == "__main__":

@@ -31,12 +31,10 @@ class CounterexampleFamily:
         self,
         tau: Callable[[int], int] | None = None,
         budget: int = DEFAULT_BUDGET,
-        max_level: int = MAX_LEVEL,
     ):
         self.alphabet = BINARY
         self._tau = tau
         self.budget = int(budget)
-        self.max_level = int(max_level)
         self._a_cache: list[np.ndarray] = [np.array([1], np.uint8)]
         self._tau_cache: list[int] = []
 
@@ -55,8 +53,8 @@ class CounterexampleFamily:
     def _check_level(self, n: int) -> None:
         if n < 0:
             raise ValueError("level must be a natural number")
-        if n > self.max_level:
-            raise BudgetError(f"level {n} exceeds the level bound {self.max_level}")
+        if n > MAX_LEVEL:
+            raise BudgetError(f"level {n} exceeds the level bound {MAX_LEVEL}")
         if 5**n > self.budget:
             raise BudgetError(
                 f"|a_{n}| = 5^{n} exceeds materialization budget {self.budget}"
@@ -83,17 +81,19 @@ class CounterexampleFamily:
         """Start index of block n: sum of tau(k) * 5^k for k < n."""
         if n < 0:
             raise ValueError("block index must be a natural number")
-        if n > self.max_level + 1:
-            raise BudgetError(f"block index {n} exceeds the level bound {self.max_level}")
+        if n > MAX_LEVEL + 1:
+            raise BudgetError(f"block index {n} exceeds the level bound {MAX_LEVEL}")
         return sum(self.tau(k) * 5**k for k in range(n))
 
     def prefix_array(self, length: int) -> np.ndarray:
         """First `length` symbols of c_0 c_1 c_2 ...
 
-        Only the portion of each block overlapping the range is expanded;
-        when a block is entered only partially, the prefix-nesting property
-        a_k = a_{k+1}[0 .. 5^k - 1] keeps the working set proportional to
-        the requested length.
+        Block n is copied in one repetition at a time (at most tau(n)
+        copies) of a_m, the shortest block with 5^m >= min(take, 5^n) for
+        the take symbols needed from it.  The prefix-nesting property
+        a_k = a_{k+1}[0 .. 5^k - 1] makes a_m a prefix of a_n, so a block
+        entered only partially never builds the full a_n and the working
+        set stays proportional to the requested length.
         """
         length = int(length)
         if length < 0:
@@ -106,24 +106,18 @@ class CounterexampleFamily:
         pos = 0
         n = 0
         while pos < length:
-            if n > self.max_level:
+            if n > MAX_LEVEL:
                 raise BudgetError(
-                    f"prefix of length {length} needs blocks beyond level {self.max_level}"
+                    f"prefix of length {length} needs blocks beyond level {MAX_LEVEL}"
                 )
             unit = 5**n
-            block_len = self.tau(n) * unit
-            take = min(block_len, length - pos)
-            if take >= unit:
-                base = self.a_array(n)
-                reps = -(-take // unit)
-                out[pos : pos + take] = np.tile(base, reps)[:take]
-            else:
-                # Partial first repetition: a_k with 5^k >= take is a prefix
-                # of a_n, so the full a_n is never built.
-                k = 0
-                while 5**k < take:
-                    k += 1
-                out[pos : pos + take] = self.a_array(k)[:take]
+            take = min(self.tau(n) * unit, length - pos)
+            m = 0
+            while 5**m < min(take, unit):
+                m += 1
+            a = self.a_array(m)
+            for r in range(0, take, a.size):
+                out[pos + r : pos + min(take, r + a.size)] = a[: take - r]
             pos += take
             n += 1
         return out

@@ -14,13 +14,15 @@ from functools import cached_property
 import numpy as np
 
 from . import _kernels
-from .errors import AlphabetError, FormatError
+from .errors import AlphabetError, BudgetError, FormatError
 from .sources import InfiniteWordSource
 from .words import Alphabet, EmissionTable, FiniteWord, _encode
 
 INFINITE_EVIDENT = "infinite-evident"
 FINITE_SO_FAR = "finite-so-far"
 UNKNOWN = "unknown"
+
+MAX_DELAY_STATES = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,10 +224,17 @@ def run_mealy_stream(machine: MealyMachine, inp: InfiniteWordSource) -> MealyStr
 
 def delay_prepend_automaton(a: FiniteWord) -> MealyMachine:
     """Machine that buffers the last |a| inputs, so its output is a
-    followed by the input stream (delayed by |a|)."""
+    followed by the input stream (delayed by |a|).  Its sigma^L states
+    (L = |a|) are not built past ``MAX_DELAY_STATES``: BudgetError."""
     if len(a) == 0:
         raise ValueError("delay word must be nonempty")
     alph = a.alphabet
+    # sigma >= 2 passes the bound by L = 17; a unary word has one state.
+    if len(alph) ** min(len(a), 17) > MAX_DELAY_STATES:
+        raise BudgetError(
+            f"the delay machine of {len(a)} symbols over {len(alph)} letters has "
+            f"sigma^L = {len(alph)}^{len(a)} states, over the bound {MAX_DELAY_STATES}"
+        )
     start = tuple(int(i) for i in a.data)
     transitions = {}
     # State tuple -> label, filled when the search first meets the state;

@@ -185,10 +185,13 @@ class FiniteWord:
 
     @classmethod
     def from_text(cls, alphabet: Alphabet, text: str) -> FiniteWord:
-        """Parse a word from labels: concatenated chars for 1-char alphabets,
-        whitespace-separated tokens otherwise.  A symbol outside the
-        alphabet raises AlphabetError naming it and its position."""
+        """Parse a word from labels: concatenated chars for 1-char alphabets
+        (or tokens, as rendered, when not all ASCII), whitespace-separated
+        tokens otherwise.  A symbol outside the alphabet raises
+        AlphabetError naming it and its position."""
         tokens = text.strip() if alphabet.single_char else text.split()
+        if len(tokens) == 1 and max(map(len, alphabet.labels)) == 1:
+            tokens = tokens[0]  # one unspaced run of 1-char labels
         return cls._wrap(alphabet, _encode(alphabet, tokens))
 
     @classmethod

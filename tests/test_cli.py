@@ -1,17 +1,23 @@
 import contextlib
 import io
+import itertools
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from apwords import (
+    ApwordsError,
     BoundsError,
     CounterexampleFamily,
     FiniteWord,
     FormatError,
+    delay_prepend_automaton,
     parse_homomorphism,
     parse_machine,
+    parse_word,
+    periodic_source,
+    run_transducer,
 )
 from apwords import cli
 from apwords.cli import main
@@ -386,6 +392,52 @@ class TestRun:
         assert code == 2
         assert "line 8" in err
 
+    def test_delay_output_across_write_chunks(self, capsys):
+        # The output is written 2^20 symbols at a time.
+        n = 2**20 + 5
+        code, out, _ = run_cli(
+            capsys, "run", "--delay-prepend", "01", "--gen", "periodic:01", "--length", str(n)
+        )
+        word = periodic_source(parse_word("01")).prefix(n)
+        expected = run_transducer(delay_prepend_automaton(parse_word("01")), word)
+        assert code == 0
+        assert out == expected.output.to_text() + "\n"
+
+    @pytest.mark.parametrize("emit_states", [False, True])
+    def test_spaced_output_across_write_chunks(self, capsys, tmp_path, emit_states):
+        # Two-character labels, and state markers, are written space-separated
+        # 2^20 at a time; 2^20 + 3 steps pass a slice boundary either way.
+        path = tmp_path / "toggle.machine"
+        path.write_text(
+            "input: 0 1\noutput: lo hi\nstates: q0 q1\ninitial: q0\n"
+            "q0 0 -> q0 lo\nq0 1 -> q1 lo\nq1 0 -> q1 hi\nq1 1 -> q0 hi\n"
+        )
+        n = 2**20 + 3
+        argv = ["run", "--machine", str(path), "--gen", "periodic:1101", "--length", str(n)]
+        code, out, _ = run_cli(capsys, *argv, *["--emit-states"] * emit_states)
+        step = {
+            ("q0", "0"): ("q0", "lo"),
+            ("q0", "1"): ("q1", "lo"),
+            ("q1", "0"): ("q1", "hi"),
+            ("q1", "1"): ("q0", "hi"),
+        }
+        tokens, q = [], "q0"
+        for a in itertools.islice(itertools.cycle("1101"), n):
+            if emit_states:
+                tokens.append("@" + q)
+            q, emitted = step[q, a]
+            tokens.append(emitted)
+        assert code == 0
+        assert out == " ".join(tokens) + "\n"
+
+    def test_oversized_delay_machine_is_budget_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "run", "--delay-prepend", "01" * 8 + "0", "--input", "01"
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "2^17" in err
+
 
 class TestDecompose:
     def test_round_trip_through_files(self, capsys, tmp_path):
@@ -525,6 +577,24 @@ def test_bounds_error_is_usage_error(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_bare_package_error_is_usage_error(capsys, monkeypatch):
+    def fails(args, parser):
+        raise ApwordsError("something went wrong")
+
+    monkeypatch.setattr(cli, "cmd_occ", fails)
+    code, out, err = run_cli(capsys, "occ", "--pattern", "1", "--word", "10011")
+    assert (code, out, err) == (2, "", "error: something went wrong\n")
+
+
+def test_tampered_prefix_flips_its_symbol_on_every_call():
+    # The flip is made in place, so each call must get a fresh array.
+    family = cli._TamperedFamily(7)
+    clean = CounterexampleFamily().prefix_array(40)
+    for _ in range(3):
+        tampered = family.prefix_array(40)
+        assert (tampered != clean).nonzero()[0].tolist() == [7]
+
+
 @pytest.mark.parametrize(
     "verb", [["occ", "--pattern", "1"], ["run", "--delay-prepend", "01"]]
 )
@@ -586,3 +656,134 @@ def test_malformed_definition_file_is_usage_error(capsys, tmp_path, argv, text, 
     assert "Traceback" not in err
     if line is not None:
         assert err.endswith(f" (line {line})\n")
+
+
+# Bad input to each of the nine verbs, with the exit code that README gives
+# its error class: 2 usage or parse error (argparse's included), 3 budget
+# exceeded or insufficient data, 4 a symbol outside the alphabet.  In the
+# arguments, {bad} is a symbol outside {0, 1}; {size} a size <= 0;
+# {negative} a length < 0; {huge} a size past every budget; {level} a
+# verification level past its budget; {delay} a delay word whose machine has
+# more than 2^16 states; {far} a cut past the half; {unsorted} two cuts out
+# of order; {missing} a path that does not exist; {machine} and {rules} good
+# definition files, and {bad_machine}, {bad_rules}, {bad_tau} and
+# {bad_word} malformed ones.
+W16 = ["--word", "0110100110010110"]
+BAD_INPUTS = [
+    (["occ", "--pattern", "1{bad}", *W16], 4),
+    (["minwindow", "--pattern", "{bad}", "--gen", "paper", "--length", "100"], 4),
+    (["window", "--window-length", "4", "--pattern", "0{bad}", *W16], 4),
+    (["stability", "--max-len", "2", "--require", "{bad}", *W16], 4),
+    (["cut-search", "--max-len", "2", "--cuts", "0", "--require", "1{bad}", *W16], 4),
+    (["run", "--machine", "{machine}", "--input", "01{bad}"], 4),
+    (["run", "--delay-prepend", "01", "--gen", "periodic:0{bad}", "--length", "9"], 4),
+    (["gen", "--family", "morphic", "--rules", "{rules}", "--seed", "{bad}", "--length", "5"], 4),
+    (["occ", "--pattern", "", *W16], 2),
+    (["minwindow", "--pattern", "", "--gen", "paper", "--length", "100"], 2),
+    (["window", "--window-length", "3", "--pattern", "", *W16], 2),
+    (["stability", "--max-len", "2", "--require", "", *W16], 2),
+    (["cut-search", "--max-len", "2", "--cuts", "0", "--require", "", *W16], 2),
+    (["gen", "--family", "paper", "--length", "{size}"], 2),
+    (["occ", "--pattern", "1", "--gen", "paper", "--length", "{negative}"], 2),
+    (["window", "--window-length", "{size}", "--pattern", "1", *W16], 2),
+    (["stability", "--max-len", "{size}", *W16], 2),
+    (["cut-search", "--max-len", "{size}", "--cuts", "0", *W16], 2),
+    (["verify-thm1", "--max-n", "{size}"], 2),
+    (["run", "--delay-prepend", "01", "--gen", "paper", "--length", "{negative}"], 2),
+    (["cut-search", "--max-len", "2", "--cuts", "0,{far}", *W16], 2),
+    (["cut-search", "--max-len", "2", "--cuts", "{unsorted}", *W16], 2),
+    (["gen", "--family", "periodic", "--word", "01", "--length", "{huge}"], 3),
+    (["occ", "--pattern", "1", "--gen", "paper", "--length", "{huge}"], 3),
+    (["minwindow", "--pattern", "1", "--gen", "periodic:01", "--length", "{huge}"], 3),
+    (["window", "--window-length", "{huge}", "--pattern", "1", *W16], 3),
+    (["stability", "--max-len", "2", "--gen", "morphic:{rules}:0", "--length", "{huge}"], 3),
+    (["cut-search", "--max-len", "2", "--cuts", "0", "--gen", "paper", "--length", "{huge}"], 3),
+    (["run", "--delay-prepend", "01", "--gen", "paper", "--length", "{huge}"], 3),
+    (["run", "--delay-prepend", "{delay}", "--input", "01"], 3),
+    (["verify-thm1", "--max-n", "{level}"], 3),
+    (["run", "--machine", "{bad_machine}", "--input", "01"], 2),
+    (["decompose", "--machine", "{bad_machine}"], 2),
+    (["decompose", "--machine", "{machine}"], 2),  # a Mealy machine
+    (["gen", "--family", "morphic", "--rules", "{bad_rules}", "--seed", "0", "--length", "5"], 2),
+    (["cut-search", "--max-len", "2", "--cuts", "0", "--gen", "morphic:{bad_rules}:0",
+      "--length", "50"], 2),
+    (["gen", "--family", "paper", "--tau-file", "{bad_tau}", "--length", "100"], 2),
+    (["occ", "--pattern", "1", "--gen", "paper:{bad_tau}", "--length", "100"], 2),
+    (["verify-thm1", "--max-n", "1", "--tau-file", "{bad_tau}"], 2),
+    (["minwindow", "--pattern", "1", "--word-file", "{bad_word}"], 2),
+    (["occ", "--pattern", "1", "--word-file", "{missing}"], 2),
+    (["run", "--machine", "{missing}", "--input", "0"], 2),
+    (["run", "--machine", "{machine}", "--input-file", "{missing}"], 2),
+    (["decompose", "--machine", "{missing}"], 2),
+    (["gen", "--family", "paper", "--tau-file", "{missing}", "--length", "5"], 2),
+    (["verify-thm1", "--tau-file", "{missing}"], 2),
+    (["stability", "--max-len", "2", "--gen", "morphic:{missing}:0", "--length", "5"], 2),
+    (["window", "--window-length", "3", "--pattern", "1", "--gen", "paper:{missing}",
+      "--length", "50"], 2),
+]
+BAD_MACHINES = [
+    MACHINE_TEXT.replace("q1 0 -> q1 1", "q1 0 q1 1"),
+    MACHINE_TEXT.replace("q1 0 -> q1 1", "q1 0 -> q9 1"),
+    MACHINE_TEXT.replace("q1 0 -> q1 1\n", ""),
+    MACHINE_TEXT.replace("initial: q0", "initial: q9"),
+    MACHINE_TEXT.replace("states: q0 q1", "states: q0 q0"),
+    "input: 0 1\n",
+    "",
+]
+BAD_RULES = ["0 -> 01\n0 -> 10\n", "0 -> 01\n1 10\n", "0 -> 01\n", "0 -> 1\n1 -> 0\n", "# none\n"]
+BAD_TAU = ["9\nten\n", "9\n8\n", "11\n", "10\n9.5\n"]
+BAD_WORDS = ["alphabet: 0 0\n0110\n", "alphabet:\n0110\n", "alphabet: 0 1\n01x0\n", ""]
+
+
+@st.composite
+def bad_values(draw):
+    """Values for the placeholders of ``BAD_INPUTS`` that name no file."""
+    letters = draw(st.sampled_from(["01", "0123"]))
+    first, second = sorted(draw(st.lists(st.integers(0, 7), min_size=2, max_size=2, unique=True)))
+    return {
+        "bad": draw(st.sampled_from(["2", "x", "#", "é", "日"])),
+        "size": str(draw(st.integers(-10**12, 0))),
+        "negative": str(draw(st.integers(-10**12, -1))),
+        "huge": str(draw(st.integers(10**8 + 1, 10**12))),
+        "level": str(draw(st.integers(5, 10**6))),
+        "delay": (letters * 12)[: draw(st.integers(17 if letters == "01" else 9, 24))],
+        "far": str(draw(st.integers(8, 10**6))),
+        "unsorted": f"{second},{first}",
+    }
+
+
+@given(
+    bad_values(),
+    st.fixed_dictionaries(
+        {
+            "bad_machine": st.sampled_from(BAD_MACHINES),
+            "bad_rules": st.sampled_from(BAD_RULES),
+            "bad_tau": st.sampled_from(BAD_TAU),
+            "bad_word": st.sampled_from(BAD_WORDS),
+        }
+    ),
+)
+@settings(max_examples=60, deadline=None)
+def test_bad_input_exits_with_its_class_code(tmp_path_factory, values, bad_files):
+    folder = tmp_path_factory.mktemp("bad-input")
+    paths = {"missing": str(folder / "absent" / "word.txt")}
+    files = {"machine": MACHINE_TEXT, "rules": "0 -> 01\n1 -> 10\n", **bad_files}
+    for name, text in files.items():
+        (folder / name).write_text(text, encoding="utf-8")
+        paths[name] = str(folder / name)
+    for template, expected in BAD_INPUTS:
+        argv = [arg.format(**values, **paths) for arg in template]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+                rejected_by_parser = False
+            except SystemExit as e:
+                code, rejected_by_parser = e.code, True
+        err = err.getvalue()
+        assert (code, out.getvalue()) == (expected, ""), argv
+        assert "Traceback" not in err, argv
+        if rejected_by_parser:
+            assert err.startswith("usage: ") and ": error: " in err.splitlines()[-1], argv
+        else:
+            assert err.startswith("error: ") and err.count("\n") == 1, argv

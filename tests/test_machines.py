@@ -7,6 +7,7 @@ from apwords import (
     BINARY,
     Alphabet,
     AlphabetError,
+    BudgetError,
     FiniteWord,
     FormatError,
     Homomorphism,
@@ -304,6 +305,16 @@ class TestDelayPrepend:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             delay_prepend_automaton(BINARY.word(""))
+
+    @pytest.mark.parametrize(
+        "word, power",
+        [(bword("0" * 17), "2^17"), (Alphabet("0123").word("012301230"), "4^9")],
+    )
+    def test_oversized_machine_is_budget_error(self, word, power):
+        # Raised before any of the sigma^L states is built.
+        with pytest.raises(BudgetError) as exc:
+            delay_prepend_automaton(word)
+        assert f"sigma^L = {power} states" in str(exc.value)
 
 
 class TestTransducer:

@@ -334,6 +334,11 @@ class TestSerialization:
         a = Alphabet(("lo", "hi"))
         assert parse_word("alphabet: lo hi\nhi lo\nhi\n") == a.word("hi lo hi")
 
+    @pytest.mark.parametrize("text", ["0é0日", "0 é 0 日", "alphabet: 0 é 日\n0é\n0日\n"])
+    def test_one_character_labels_beyond_ascii(self, text):
+        # An unspaced word is read one character per symbol, as in ASCII.
+        assert parse_word(text) == Alphabet(("0", "é", "日")).word("0 é 0 日")
+
     def test_whitespace_symbol_is_format_error(self):
         with pytest.raises(FormatError):
             parse_word("01\t10")
