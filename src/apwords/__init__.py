@@ -3,6 +3,7 @@ empirical recurrence analysis, and finite automaton / transducer /
 homomorphism mappings."""
 
 from .analysis import (
+    LemmaCheck,
     RegulatorReport,
     StabilityEntry,
     StabilityReport,
@@ -15,6 +16,7 @@ from .analysis import (
     verify_alignment_lemma,
     verify_cn_absent,
     verify_pair_containment,
+    verify_theorem1,
 )
 from .errors import (
     AlphabetError,

@@ -57,10 +57,11 @@ def pack(text):
     n = text.shape[0]
     top = int(text.max()) if n else 0
     bits = 1 if top < 2 else 2 if top < 4 else 4 if top < 16 else 8
-    if bits == 8:
-        codes = text.view(PackedCodes)
-    else:
-        codes = text.copy().view(PackedCodes)
+    codes = text
+    if bits < 8:
+        # The loops run on the plain array: each slice of a PackedCodes
+        # view would call __array_finalize__.
+        codes = text.copy()
         scaled = np.empty(min(n, _CHUNK), np.uint8)
         step = 1
         while step * bits < 8:
@@ -69,6 +70,7 @@ def pack(text):
                 np.multiply(codes[a + step : a + step + s.size], 1 << (step * bits), out=s)
                 codes[a : a + s.size] += s
             step *= 2
+    codes = codes.view(PackedCodes)
     codes.bits = bits
     return codes
 

@@ -8,16 +8,17 @@ data, never a claim about the whole infinite word.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import _kernels
-from .errors import AlphabetError, EmptyPatternError, InsufficientDataError
+from .errors import AlphabetError, BudgetError, EmptyPatternError, InsufficientDataError
 from .generators import CounterexampleFamily
 from .words import FiniteWord, occurrences
 
 MAX_FACTOR_LENGTH = 64
+MAX_VERIFY_LEVEL = 4
 
 
 @dataclass(frozen=True)
@@ -226,6 +227,66 @@ def verify_cn_absent(fam: CounterexampleFamily, n: int, horizon: int) -> bool:
     return bool(starts.size == 0 or int(starts[-1]) < boundary)
 
 
+class LemmaCheck(NamedTuple):
+    """One check of ``verify_theorem1``: the lemma, the level n it was
+    checked at, and whether it held."""
+
+    name: str
+    level: int
+    ok: bool
+
+
+def verify_theorem1(
+    fam: CounterexampleFamily, max_n: int, horizon: int
+) -> tuple[LemmaCheck, ...]:
+    """The lemma suite behind Theorem 1 for levels up to ``max_n``, over the
+    length-``horizon`` prefix: ``block-layout`` for n = 0..max_n (block n of
+    the prefix is c_n), then for each n = 1..max_n ``pair-containment``,
+    ``alignment`` and ``c-absent`` (as ``verify_pair_containment``,
+    ``verify_alignment_lemma`` and ``verify_cn_absent``) and
+    ``window-bound``: the minimal windows of a_n and bar(a_n) are at most
+    min(5(5^(n+2) - 1)/2 + 2 * 5^(n+2), horizon).
+
+    The prefix is built and packed once; its scans read those codes.  The
+    horizon must be at least 4 * l_(max_n+2), which covers each c-absent
+    check, since tau >= 9 gives l_(n+2) >= l_(n+1) + 2|c_n|; a shorter one
+    raises ``InsufficientDataError`` carrying that length.  A level past
+    ``MAX_VERIFY_LEVEL`` raises ``BudgetError``.
+    """
+    if max_n > MAX_VERIFY_LEVEL:
+        raise BudgetError(f"level {max_n} exceeds the verification budget {MAX_VERIFY_LEVEL}")
+    if max_n < 1:
+        raise ValueError(f"the lemma suite needs max_n >= 1, got {max_n}")
+    required = 4 * fam.l_index(max_n + 2)
+    if horizon < required:
+        raise InsufficientDataError(
+            f"horizon {horizon} too small; need at least {required}", required=required
+        )
+    prefix = fam.prefix_array(horizon)
+    codes = _kernels.pack(prefix)
+    checks = []
+    for n in range(max_n + 1):
+        c, start = fam.c(n).data, fam.l_index(n)
+        checks.append(
+            LemmaCheck("block-layout", n, np.array_equal(prefix[start : start + c.size], c))
+        )
+    for n in range(1, max_n + 1):
+        a = fam.a_array(n)
+        later = _kernels.find_occurrences(prefix, fam.c(n).data, codes)
+        bound = min(5 * (5 ** (n + 2) - 1) // 2 + 2 * 5 ** (n + 2), horizon)
+        windows = [
+            min_window_from_starts(_kernels.find_occurrences(prefix, x, codes), horizon, a.size)
+            for x in (a, 1 - a)
+        ]
+        checks += [
+            LemmaCheck("pair-containment", n, verify_pair_containment(fam, n).ok),
+            LemmaCheck("alignment", n, verify_alignment_lemma(fam, n)),
+            LemmaCheck("c-absent", n, bool(later.size == 0 or later[-1] < fam.l_index(n + 1))),
+            LemmaCheck("window-bound", n, all(w is not None and w <= bound for w in windows)),
+        ]
+    return tuple(checks)
+
+
 # ---------------------------------------------------------------------------
 # stability reports
 
@@ -381,8 +442,10 @@ def eap_cut_search(
     """Smallest listed cut whose suffix has a fully stable report; None if
     none qualifies.  A positive result is evidence the word becomes
     uniformly recurrent after the cut; absence is evidence (not proof)
-    against."""
+    against.  An empty cut list is a ValueError, like an unsorted one."""
     cuts = [int(c) for c in cuts]
+    if not cuts:
+        raise ValueError("the cut list is empty")
     if sorted(cuts) != cuts:
         raise ValueError("cuts must be sorted ascending")
     for c in cuts:

@@ -14,15 +14,8 @@ import sys
 
 import numpy as np
 
-from .analysis import (
-    check_window,
-    eap_cut_search,
-    min_window,
-    recurrence_stability,
-    verify_alignment_lemma,
-    verify_cn_absent,
-    verify_pair_containment,
-)
+from . import analysis
+from .analysis import check_window, eap_cut_search, min_window, recurrence_stability
 from .errors import (
     AlphabetError,
     ApwordsError,
@@ -52,7 +45,6 @@ from .words import (
     FiniteWord,
     _encode,
     _lookup,
-    bar,
     occurrences,
     parse_word,
     render_spaced,
@@ -75,7 +67,6 @@ EXIT_CODES = (
 )
 
 CHUNK = 1 << 20
-MAX_VERIFY_LEVEL = 4
 
 
 class _TamperedFamily(CounterexampleFamily):
@@ -295,10 +286,6 @@ def cmd_cut_search(args, parser):
 
 
 def cmd_verify_thm1(args, parser):
-    if args.max_n > MAX_VERIFY_LEVEL:
-        raise BudgetError(
-            f"--max-n {args.max_n} exceeds the verification budget {MAX_VERIFY_LEVEL}"
-        )
     if args.max_n < 1:
         parser.error("--max-n must be >= 1")
     tau = load_tau_table(args.tau_file) if args.tau_file else None
@@ -306,38 +293,14 @@ def cmd_verify_thm1(args, parser):
         fam = _TamperedFamily(args.tamper_index, tau=tau)
     else:
         fam = CounterexampleFamily(tau=tau)
-
-    required = 0
-    for n in range(1, args.max_n + 1):
-        required = max(required, fam.l_index(n + 1) + 2 * len(fam.c(n)))
-        required = max(required, 4 * fam.l_index(n + 2))
-    if args.horizon < required:
-        print(f"horizon {args.horizon} insufficient; need at least {required}")
+    try:
+        checks = analysis.verify_theorem1(fam, args.max_n, args.horizon)
+    except InsufficientDataError as e:
+        print(f"horizon {args.horizon} insufficient; need at least {e.required}")
         return EXIT_BUDGET
-
-    prefix = fam.prefix(args.horizon)
-    results = []
-
-    def record(ok, label):
-        results.append(ok)
-        print(("PASS " if ok else "FAIL ") + label)
-
-    for n in range(0, args.max_n + 1):
-        c = fam.c(n)
-        start = fam.l_index(n)
-        block = prefix[start : start + len(c)]
-        record(block == c, f"block-layout n={n}")
-    for n in range(1, args.max_n + 1):
-        record(bool(verify_pair_containment(fam, n)), f"pair-containment n={n}")
-        record(verify_alignment_lemma(fam, n), f"alignment n={n}")
-        record(verify_cn_absent(fam, n, args.horizon), f"c-absent n={n}")
-        bound = 5 * (5 ** (n + 2) - 1) // 2 + 2 * 5 ** (n + 2)
-        ok = True
-        for x in (fam.a(n), bar(fam.a(n))):
-            if check_window(x, prefix, min(bound, args.horizon)) is not None:
-                ok = False
-        record(ok, f"window-bound n={n}")
-    return EXIT_OK if all(results) else EXIT_VERIFY_FAIL
+    for check in checks:
+        print(f"{'PASS' if check.ok else 'FAIL'} {check.name} n={check.level}")
+    return EXIT_OK if all(check.ok for check in checks) else EXIT_VERIFY_FAIL
 
 
 # ---------------------------------------------------------------------------

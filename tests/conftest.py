@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from apwords import BINARY, Alphabet, CounterexampleFamily, FiniteWord
+from apwords import BINARY, Alphabet, CounterexampleFamily, FiniteWord, Transducer
 from apwords.analysis import min_window_from_starts
 
 
@@ -95,3 +95,30 @@ def naive_cut_search(w, k, cuts, required=()):
         if all(half is not None and half == full for _, _, half, full in rows):
             return c
     return None
+
+
+def periodic_output(machine, period):
+    """The output of ``machine`` on the input ``period``^ω, exactly, as
+    ``(u, v)`` with output u·v^ω (lists of output symbol indices): the
+    period-boundary map q ↦ δ*(q, period) is iterated from the initial
+    state, one transition at a time, until a state repeats, at most |Q|
+    steps (oracle for runs over periodic input).  The output is finite,
+    u alone, iff v is empty."""
+    labels = [period.alphabet.label(int(a)) for a in period.data]
+    seen, blocks = {}, []
+    q = machine.initial
+    while q not in seen:
+        seen[q] = len(blocks)
+        block = []
+        for a in labels:
+            q, emitted = Transducer.transition(machine, q, a)
+            block += emitted.data.tolist()
+        blocks.append(block)
+    cycle = seen[q]
+    return sum(blocks[:cycle], []), sum(blocks[cycle:], [])
+
+
+def omega_prefix(u, v, n):
+    """The first n symbols of u·v^ω, or all of u when v is empty."""
+    reps = -(-max(n - len(u), 0) // len(v)) if v else 0
+    return (u + v * reps)[:n]

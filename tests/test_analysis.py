@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -6,10 +8,13 @@ from hypothesis import strategies as st
 from apwords import (
     Alphabet,
     AlphabetError,
+    BudgetError,
     CounterexampleFamily,
     EmptyPatternError,
     FiniteWord,
     InsufficientDataError,
+    LemmaCheck,
+    bar,
     check_window,
     eap_cut_search,
     min_window,
@@ -17,11 +22,14 @@ from apwords import (
     recurrence_stability,
     regulator_report,
     rightmost_occurrence,
+    tau_from_table,
     thue_morse_source,
     verify_alignment_lemma,
     verify_cn_absent,
     verify_pair_containment,
+    verify_theorem1,
 )
+from apwords import _kernels, cli
 from apwords.analysis import _packed_shift
 from conftest import bword, naive_cut_search, naive_stability
 
@@ -213,6 +221,151 @@ class TestLemmaChecks:
         with pytest.raises(InsufficientDataError) as err:
             verify_cn_absent(family, 1, 100)
         assert err.value.required == family.l_index(2) + 2 * 50
+
+
+def oracle_theorem1(fam, max_n, horizon):
+    """The lemma suite check by check from the single checks: the block
+    layout by word equality, c-absent by ``verify_cn_absent`` and each
+    window bound by ``check_window`` (oracle for verify_theorem1)."""
+    prefix = fam.prefix(horizon)
+    rows = []
+    for n in range(max_n + 1):
+        c, start = fam.c(n), fam.l_index(n)
+        rows.append(("block-layout", n, prefix[start : start + len(c)] == c))
+    for n in range(1, max_n + 1):
+        window = min(5 * (5 ** (n + 2) - 1) // 2 + 2 * 5 ** (n + 2), horizon)
+        rows += [
+            ("pair-containment", n, bool(verify_pair_containment(fam, n))),
+            ("alignment", n, verify_alignment_lemma(fam, n)),
+            ("c-absent", n, verify_cn_absent(fam, n, horizon)),
+            (
+                "window-bound",
+                n,
+                all(check_window(x, prefix, window) is None for x in (fam.a(n), bar(fam.a(n)))),
+            ),
+        ]
+    return rows
+
+
+class _PatchedFamily(CounterexampleFamily):
+    """Writes ``patch`` over every prefix from position ``at``."""
+
+    def __init__(self, at, patch, **kwargs):
+        super().__init__(**kwargs)
+        self.at, self.patch = at, np.asarray(patch, np.uint8)
+
+    def prefix_array(self, length):
+        arr = super().prefix_array(length)
+        piece = self.patch[: max(length - self.at, 0)]
+        arr[self.at : self.at + piece.size] = piece
+        return arr
+
+
+TAU_9_10_9 = tau_from_table([9, 10, 9])
+
+
+class TestVerifyTheorem1:
+    @pytest.mark.parametrize(
+        "tau, max_n", [(None, 3), (None, 4), (TAU_9_10_9, 4), (TAU_9_10_9, 1)]
+    )
+    def test_all_hold_in_cli_order(self, tau, max_n):
+        fam = CounterexampleFamily(tau=tau)
+        horizon = 4 * fam.l_index(max_n + 2)
+        checks = verify_theorem1(fam, max_n, horizon)
+        assert all(isinstance(c, LemmaCheck) and c.ok is True for c in checks)
+        names = [f"{c.name} n={c.level}" for c in checks]
+        expected = [f"block-layout n={n}" for n in range(max_n + 1)]
+        for n in range(1, max_n + 1):
+            expected += [
+                f"{lemma} n={n}"
+                for lemma in ("pair-containment", "alignment", "c-absent", "window-bound")
+            ]
+        assert names == expected
+
+    @given(st.booleans(), st.integers(0, 31239), st.integers(1, 3))
+    @example(False, 777, 3)
+    @example(False, 3000, 3)
+    @example(False, 5, 2)
+    @settings(max_examples=40, deadline=None)
+    def test_tampered_matches_oracle(self, with_tau, index, max_n):
+        fam = cli._TamperedFamily(index, tau=TAU_9_10_9 if with_tau else None)
+        horizon = max(4 * fam.l_index(max_n + 2), index + 1)
+        assert list(verify_theorem1(fam, max_n, horizon)) == oracle_theorem1(
+            fam, max_n, horizon
+        )
+
+    @given(st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_patched_matches_oracle(self, data):
+        # Overwrites that the single flips rarely make: a copy of c_n past
+        # block n + 1, a run of a_n without bar(a_n), or of zeros, longer
+        # than a window bound.
+        base = CounterexampleFamily()
+        horizon = 4 * base.l_index(5)
+        n = data.draw(st.integers(1, 2))
+        patch = data.draw(
+            st.sampled_from(
+                [base.c(n).data, np.tile(base.a_array(n), 150), np.zeros(700 * n)]
+            )
+        )
+        at = data.draw(st.integers(0, horizon - 1))
+        fam = _PatchedFamily(at, patch)
+        checks = verify_theorem1(fam, 3, horizon)
+        assert list(checks) == oracle_theorem1(fam, 3, horizon)
+
+    @pytest.mark.parametrize(
+        "at, patch, failed",
+        [
+            # longer than a_1's window bound
+            (2000, np.zeros(700), [("window-bound", 1)]),
+            (1000, CounterexampleFamily().c(1).data, [("c-absent", 1)]),
+            # holds a_1 but not bar(a_1), and holds c_1
+            (2000, np.tile(CounterexampleFamily().a_array(1), 150),
+             [("c-absent", 1), ("window-bound", 1)]),
+        ],
+    )
+    def test_failures_reported(self, family, at, patch, failed):
+        checks = verify_theorem1(_PatchedFamily(at, patch), 2, 4 * family.l_index(4))
+        assert [(c.name, c.level) for c in checks if not c.ok] == failed
+
+    @given(st.lists(st.sampled_from([9, 10]), max_size=6), st.integers(1, 4))
+    @settings(max_examples=30, deadline=None)
+    def test_required_horizon(self, table, max_n):
+        fam = CounterexampleFamily(tau=tau_from_table(table))
+        # Term by term: the horizon each c-absent check needs, and 4 l_(n+2).
+        longest = max(
+            max(fam.l_index(n + 1) + 2 * len(fam.c(n)), 4 * fam.l_index(n + 2))
+            for n in range(1, max_n + 1)
+        )
+        with pytest.raises(InsufficientDataError) as err:
+            verify_theorem1(fam, max_n, longest - 1)
+        assert err.value.required == longest
+        assert len(verify_theorem1(fam, max_n, longest)) == 5 * max_n + 1
+
+    def test_required_horizon_is_the_cli_figure(self, family, capsys):
+        with pytest.raises(InsufficientDataError) as err:
+            verify_theorem1(family, 3, 1000)
+        assert cli.main(["verify-thm1", "--max-n", "3", "--horizon", "1000"]) == 3
+        out = capsys.readouterr().out
+        assert out == f"horizon 1000 insufficient; need at least {err.value.required}\n"
+
+    def test_level_bounds(self, family):
+        with pytest.raises(BudgetError):
+            verify_theorem1(family, 5, 10**6)
+        with pytest.raises(ValueError):
+            verify_theorem1(family, 0, 10**6)
+
+    def test_builds_and_packs_the_prefix_once(self, family):
+        horizon = 4 * family.l_index(5) + 17
+        with mock.patch.object(
+            family, "prefix_array", wraps=family.prefix_array
+        ) as build, mock.patch.object(_kernels, "pack", wraps=_kernels.pack) as pack:
+            verify_theorem1(family, 3, horizon)
+        assert build.call_args_list == [mock.call(horizon)]
+        # The pair and alignment checks pack their own short words only.
+        sizes = [len(call.args[0]) for call in pack.call_args_list]
+        assert sizes.count(horizon) == 1
+        assert max(size for size in sizes if size != horizon) <= 5**4
 
 
 class TestStability:
@@ -421,3 +574,7 @@ class TestCutSearch:
             eap_cut_search(w, 2, [5, 0])
         with pytest.raises(ValueError):
             eap_cut_search(w, 2, [15])
+
+    def test_rejects_empty_cut_list(self, ab):
+        with pytest.raises(ValueError, match="cut list is empty"):
+            eap_cut_search(ab.word("ab" * 10), 2, [])

@@ -720,6 +720,8 @@ BAD_INPUTS = [
     (["stability", "--max-len", "2", "--gen", "morphic:{missing}:0", "--length", "5"], 2),
     (["window", "--window-length", "3", "--pattern", "1", "--gen", "paper:{missing}",
       "--length", "50"], 2),
+    (["cut-search", "--max-len", "2", "--cuts", "", *W16], 2),
+    (["cut-search", "--max-len", "2", "--cuts", ",", *W16], 2),
 ]
 BAD_MACHINES = [
     MACHINE_TEXT.replace("q1 0 -> q1 1", "q1 0 q1 1"),

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from apwords import (
@@ -23,6 +23,7 @@ from apwords import (
     parse_homomorphism,
     parse_machine,
     periodic_source,
+    recurrence_stability,
     run_mealy,
     run_mealy_stream,
     run_transducer,
@@ -30,7 +31,13 @@ from apwords import (
 )
 from apwords import _kernels
 from apwords.words import EmissionTable
-from conftest import bword, naive_mealy_run, naive_transducer_run
+from conftest import (
+    bword,
+    naive_mealy_run,
+    naive_transducer_run,
+    omega_prefix,
+    periodic_output,
+)
 
 
 def identity_machine():
@@ -429,6 +436,102 @@ class TestOutputInfiniteCheck:
     def test_thue_morse_recurs(self):
         h = Homomorphism(BINARY, Alphabet("a"), {"0": "", "1": "a"})
         assert output_infinite_check(h, thue_morse_source(), 64) == "infinite-evident"
+
+
+@st.composite
+def machines_on_periods(draw, mealy=False):
+    """A machine of at most 8 states over 1-3 input and 1-3 output letters,
+    and an input period of at most 6 symbols.  A transducer emits 0-2
+    symbols a step, in half of the draws mostly none, so that finite
+    outputs are common."""
+    inp = Alphabet("abc"[: draw(st.integers(1, 3))])
+    out = Alphabet("xyz"[: draw(st.integers(1, 3))])
+    states = [f"q{i}" for i in range(draw(st.integers(1, 8)))]
+    lengths = [1] if mealy else draw(st.sampled_from([[0, 1, 2], [0, 0, 0, 1]]))
+    transitions = {}
+    for q in states:
+        for a in inp:
+            emitted = [
+                draw(st.sampled_from(out.labels))
+                for _ in range(draw(st.sampled_from(lengths)))
+            ]
+            transitions[(q, a)] = (draw(st.sampled_from(states)), emitted)
+    if mealy:
+        transitions = {key: (q2, em[0]) for key, (q2, em) in transitions.items()}
+    machine = (MealyMachine if mealy else Transducer)(inp, out, states, states[0], transitions)
+    period = FiniteWord.from_text(inp, draw(st.text(inp.labels, min_size=1, max_size=6)))
+    return machine, period
+
+
+# On (aab)^ω: the transient emits on (E, a) at offsets 1 and 3, then the
+# run falls into the silent state S, so u = xx and v is empty.
+REPEATED_TRANSIENT = (
+    Transducer(
+        Alphabet("ab"), Alphabet("x"), ["q0", "E", "F", "H", "S"], "q0",
+        {
+            ("q0", "a"): ("E", []), ("q0", "b"): ("S", []),
+            ("E", "a"): ("F", ["x"]), ("E", "b"): ("S", []),
+            ("F", "a"): ("H", []), ("F", "b"): ("E", []),
+            ("H", "a"): ("S", []), ("H", "b"): ("S", []),
+            ("S", "a"): ("S", []), ("S", "b"): ("S", []),
+        },
+    ),
+    FiniteWord.from_text(Alphabet("ab"), "aab"),
+)
+
+
+class TestPeriodicInputOracle:
+    """Machines on periodic input p^ω against ``conftest.periodic_output``,
+    their exact output u·v^ω."""
+
+    @given(machines_on_periods(), st.integers(0, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_run_and_decomposition(self, case, extra):
+        machine, period = case
+        u, v = periodic_output(machine, period)
+        # 2|Q| periods run the transient and at least one whole cycle.
+        reps = 2 * len(machine.states) + extra
+        word = FiniteWord(period.alphabet, np.tile(period.data, reps))
+        automaton, hom = decompose_transducer(machine)
+        for out in (
+            run_transducer(machine, word).output,
+            apply_homomorphism(hom, run_mealy(automaton, word).output),
+        ):
+            out = out.data.tolist()
+            assert len(out) >= len(u) + len(v)
+            assert out == omega_prefix(u, v, len(out))
+
+    @given(machines_on_periods(mealy=True), st.integers(0, 200))
+    @settings(max_examples=40, deadline=None)
+    def test_mealy_stream(self, case, n):
+        machine, period = case
+        u, v = periodic_output(machine, period)
+        stream = run_mealy_stream(machine, periodic_source(period))
+        assert stream.prefix_array(n).tolist() == omega_prefix(u, v, n)
+
+    @given(machines_on_periods(), st.integers(0, 50))
+    @example(REPEATED_TRANSIENT, 0)
+    @settings(max_examples=60, deadline=None)
+    def test_output_infinite_check_agrees(self, case, extra):
+        # Past 4|Q||p| symbols the second half lies beyond the transient
+        # and holds a whole cycle, so neither answer can be wrong.
+        machine, period = case
+        _, v = periodic_output(machine, period)
+        automaton, hom = decompose_transducer(machine)
+        pairs = run_mealy_stream(automaton, periodic_source(period))
+        budget = 4 * len(machine.states) * len(period) + extra
+        answer = output_infinite_check(hom, pairs, budget)
+        assert answer != ("finite-so-far" if v else "infinite-evident")
+
+    @given(machines_on_periods(), st.integers(1, 4), st.integers(0, 8), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_periodic_part_is_stable(self, case, k, extra, odd):
+        machine, period = case
+        _, v = periodic_output(machine, period)
+        assume(v)
+        half = 2 * len(v) + k + extra
+        w = FiniteWord(machine.output_alphabet, omega_prefix([], v, 2 * half + odd))
+        assert recurrence_stability(w, k).all_stable
 
 
 MACHINE_TEXT = """\
