@@ -7,15 +7,13 @@ One implementation per kernel:
   bits each, so one aligned byte compare checks up to eight symbols at
   every position, and
 * ``mealy_run``, the one run of every machine, Mealy or transducer.  It
-  computes the states visited: by the blocked two-pass run of Mytkowicz,
-  Musuvathi and Schulte ("Data-Parallel Finite-State Machines", ASPLOS
-  2014), vectorized over blocks and states, for machines of at most
-  ``BLOCKED_MAX_STATES`` states, and by a sequential loop, in plain Python,
-  for wider ones.  The output is then one expansion of the steps' keys
-  through the machine's ``EmissionTable``.
+  computes the states visited by a k-step table walk, for any number of
+  states and labels: the chunked run of Mytkowicz, Musuvathi and Schulte
+  ("Data-Parallel Finite-State Machines", ASPLOS 2014) with a table of
+  chunk transitions in place of running each chunk from every state.
+  The output is then one expansion of the steps' keys through the
+  machine's ``EmissionTable``.
 """
-
-import math
 
 import numpy as np
 
@@ -162,16 +160,6 @@ def find_occurrences(text, pattern, packed=None):
     return cand.astype(np.int64, copy=False)
 
 
-# Pass 1 of the blocked run costs |Q| gathers per symbol, the loop one
-# Python-level step per symbol.  On random binary machines and 5*10^5
-# symbols (2 vCPU, numpy 2.4, states only, best of 5, two rounds) the
-# blocked run took 8-11 ms at 2-4 states, 23-26 ms at 16, 40-49 ms at 32
-# and 76-89 ms at 64, the loop 46-54 ms at any width.  The 4096-state
-# delay machine of a 12-symbol word takes 3.5 s blocked on 2*10^5
-# symbols, 0.019 s looped.
-BLOCKED_MAX_STATES = 64
-
-
 def mealy_run(next_state, emissions, initial, inp):
     """Machine run: the states visited, then the words emitted.
 
@@ -187,65 +175,69 @@ def mealy_run(next_state, emissions, initial, inp):
     return states, keys, emissions.expand(keys)
 
 
+def _stride(n, nq, na):
+    """The chunk length k of a run of n symbols through nq states over na
+    labels: the largest k >= 1 with nq * na^k <= n/16, so that the k-step
+    table costs a small share of the run.  A unary table does not grow
+    with k, so na = 1 counts as 2, which caps k at log2(n / (16 nq))."""
+    k = 1
+    while nq * max(na, 2) ** (k + 1) * 16 <= n:
+        k += 1
+    return k
+
+
 def _run_states(next_state, initial, inp):
-    """States visited (``int32[n + 1]``): blocked for narrow machines, else
-    a loop."""
+    """States visited (``int32[n + 1]``), by a k-step table walk.
+
+    The input is cut into chunks of k symbols (``_stride``).  A table gives
+    the state after each chunk from each state, a Python walk of n/k steps
+    through it the state each chunk starts in, and the k steps of all
+    chunks are then replayed at once, one gather per step, ``_CHUNK``
+    symbols at a time so that the replay's strided passes stay in cache.
+    On 10^6 random binary symbols (2 vCPU, numpy 2.4) a 16-state machine
+    takes 12-14 ms at k = 11.
+    """
     n = inp.shape[0]
     nq, na = next_state.shape
-    if nq > BLOCKED_MAX_STATES:
-        # Python lists index about four times faster than numpy arrays one
-        # element at a time.
-        step = next_state.tolist()
-        q = int(initial)
-        states = [q]
-        for a in inp.tolist():
-            q = step[q][a]
-            states.append(q)
-        return np.array(states, np.int32)
-    # A block of length L costs about five numpy calls per symbol of the
-    # block (passes 1 and 2) and the n/L blocks one link step each; the
-    # square root balances the two (L = 176 at 5*10^5 symbols).
-    length = max(1, math.isqrt(n // 16))
-    blocks = -(-n // length)
-    size = blocks * length
-    text = inp
-    if size != n:
-        # The padding symbols run through the last block; their states fall
-        # outside the view returned.
-        text = np.zeros(size, np.uint8)
-        text[:n] = inp
-    text = text.reshape(blocks, length)
-    # A state q is carried as q * |A|, so that one step is an add of the
-    # input symbol and one gather.  The indices are in range by
-    # construction; mode="clip" skips the bounds check's buffered copy.
+    k = _stride(n, nq, na)
+    chunks = -(-n // k)
+    # The padding symbols run through the last chunk; their states fall
+    # outside the view returned.
+    text = np.zeros((chunks, k), np.uint8)
+    text.ravel()[:n] = inp
+    # table[q, c]: the state after the chunk of code c (its first symbol
+    # most significant) from state q.
+    table = next_state
+    for _ in range(k - 1):
+        table = next_state[table].reshape(nq, -1)
+    # The walk carries q as q * |A|^k, so that a step is one add and one
+    # list index (lists index about four times faster than numpy arrays).
+    # The cells share the object array's nq ints: one pointer per cell.
+    width = na**k
+    walk = (np.arange(nq, dtype=object) * width)[table].ravel().tolist()
+    q = int(initial) * width
+    # The replay carries q as q * |A|, so that a step is one add and one
+    # gather; its indices are in range, and mode="clip" skips the check.
     step = next_state.astype(np.intp).ravel() * na
-
-    # Pass 1: run every block from every state; lanes[q, b] ends as the
-    # state (times |A|) that block b ends in when it starts in q.
-    lanes = np.repeat(np.arange(nq, dtype=np.intp)[:, None] * na, blocks, axis=1)
-    keys = np.empty_like(lanes)
-    for j in range(length):
-        np.add(lanes, text[:, j], out=keys)
-        np.take(step, keys, out=lanes, mode="clip")
-
-    # Link: the real entry state of each block, in block order.
-    lanes //= na
-    ends = memoryview(lanes)
-    entry = []
-    q = initial
-    for b in range(blocks):
-        entry.append(q)
-        q = ends[q, b]
-
-    # Pass 2: replay every block from its entry state.
-    states = np.empty(size + 1, np.int32)
+    states = np.empty(chunks * k + 1, np.int32)
     states[0] = initial
-    by_block = states[1:].reshape(blocks, length)
-    current = np.array(entry, np.intp) * na
-    keys = keys[0]
-    for j in range(length):
-        np.add(current, text[:, j], out=keys)
-        np.take(step, keys, out=current, mode="clip")
-        by_block[:, j] = current
-    states[1:] //= na
+    by_chunk = states[1:].reshape(chunks, k)
+    per = max(1, _CHUNK // k)
+    for a in range(0, chunks, per):
+        part, out = text[a : a + per], by_chunk[a : a + per]
+        codes = part[:, 0].astype(np.intp)
+        for j in range(1, k):
+            codes *= na
+            codes += part[:, j]
+        entry = []
+        for c in memoryview(codes):
+            entry.append(q)
+            q = walk[q + c]
+        current = np.array(entry, np.intp) // (width // na)
+        keys = np.empty_like(current)
+        for j in range(k):
+            np.add(current, part[:, j], out=keys)
+            np.take(step, keys, out=current, mode="clip")
+            out[:, j] = current
+        out //= na
     return states[: n + 1]

@@ -206,6 +206,12 @@ def verify_alignment_lemma(fam: CounterexampleFamily, m: int) -> bool:
     return True
 
 
+def _c_absent(fam: CounterexampleFamily, n: int, prefix: np.ndarray, codes=None) -> bool:
+    """Whether c_n occurs in ``prefix`` only before block n+1 (``codes``: its packed codes)."""
+    starts = _kernels.find_occurrences(prefix, fam.c(n).data, codes)
+    return bool(starts.size == 0 or starts[-1] < fam.l_index(n + 1))
+
+
 def verify_cn_absent(fam: CounterexampleFamily, n: int, horizon: int) -> bool:
     """Check that block n's repeated word has no occurrence starting at or
     after the start of block n+1, within the given prefix horizon.
@@ -214,17 +220,13 @@ def verify_cn_absent(fam: CounterexampleFamily, n: int, horizon: int) -> bool:
     """
     if n < 1:
         raise ValueError("the absence claim needs n >= 1")
-    c = fam.c(n)
-    boundary = fam.l_index(n + 1)
-    required = boundary + 2 * len(c)
+    required = fam.l_index(n + 1) + 2 * len(fam.c(n))
     if horizon < required:
         raise InsufficientDataError(
             f"horizon {horizon} too small; need at least {required}",
             required=required,
         )
-    prefix = fam.prefix_array(horizon)
-    starts = _kernels.find_occurrences(prefix, c.data)
-    return bool(starts.size == 0 or int(starts[-1]) < boundary)
+    return _c_absent(fam, n, fam.prefix_array(horizon))
 
 
 class LemmaCheck(NamedTuple):
@@ -272,7 +274,6 @@ def verify_theorem1(
         )
     for n in range(1, max_n + 1):
         a = fam.a_array(n)
-        later = _kernels.find_occurrences(prefix, fam.c(n).data, codes)
         bound = min(5 * (5 ** (n + 2) - 1) // 2 + 2 * 5 ** (n + 2), horizon)
         windows = [
             min_window_from_starts(_kernels.find_occurrences(prefix, x, codes), horizon, a.size)
@@ -281,7 +282,7 @@ def verify_theorem1(
         checks += [
             LemmaCheck("pair-containment", n, verify_pair_containment(fam, n).ok),
             LemmaCheck("alignment", n, verify_alignment_lemma(fam, n)),
-            LemmaCheck("c-absent", n, bool(later.size == 0 or later[-1] < fam.l_index(n + 1))),
+            LemmaCheck("c-absent", n, _c_absent(fam, n, prefix, codes)),
             LemmaCheck("window-bound", n, all(w is not None and w <= bound for w in windows)),
         ]
     return tuple(checks)

@@ -12,8 +12,6 @@ import argparse
 import functools
 import sys
 
-import numpy as np
-
 from . import analysis
 from .analysis import check_window, eap_cut_search, min_window, recurrence_stability
 from .errors import (
@@ -152,6 +150,12 @@ def _write(render, items, sep, step=CHUNK):
     out.write("\n")
 
 
+def _write_word(alphabet: Alphabet, data):
+    """Write the labels of ``data``, unseparated when each is one character."""
+    sep = "" if alphabet.single_char else " "
+    _write(functools.partial(render_symbols, alphabet), data, sep)
+
+
 def _add_word_input(parser):
     parser.add_argument("--word", help="word given inline")
     parser.add_argument("--word-file", help="word file (optional 'alphabet:' header)")
@@ -175,8 +179,7 @@ def cmd_gen(args, parser):
     src = _family_source(args.family, arg[args.family], args.seed)
     if args.length < 1:
         parser.error("--length must be >= 1")
-    sep = "" if src.alphabet.single_char else " "
-    _write(functools.partial(render_symbols, src.alphabet), src.prefix_array(args.length), sep)
+    _write_word(src.alphabet, src.prefix_array(args.length))
     return EXIT_OK
 
 
@@ -236,18 +239,18 @@ def cmd_run(args, parser):
         word = FiniteWord.from_text(machine.input_alphabet, text)
     trace = run_transducer(machine, word)
     if args.emit_states:
-        # One token table: the output labels, then one "@state" marker per
-        # state; each step's marker goes before the symbols it emitted.
+        # One token per transition, under its step key: "@state", then its labels.
+        na = len(machine.input_alphabet)
         labels = machine.output_alphabet.labels
-        tokens = spaced_tokens([*labels, *("@" + q for q in machine.states)])
-        starts = np.cumsum(trace.step_lengths) - trace.step_lengths
-        marks = len(labels) + trace.state_index[:-1].astype(np.int64)
-        keys = np.insert(trace.output.data.astype(np.int64), starts, marks)
+        tokens = spaced_tokens(
+            " ".join(["@" + q, *(labels[i] for i in machine._emit[qi * na + a].tolist())])
+            for qi, q in enumerate(machine.states)
+            for a in range(na)
+        )
+        keys = trace.state_index[:-1] * na + word.data
         _write(functools.partial(render_spaced, tokens), keys, " ")
     else:
-        alphabet = trace.output.alphabet
-        sep = "" if alphabet.single_char else " "
-        _write(functools.partial(render_symbols, alphabet), trace.output.data, sep)
+        _write_word(trace.output.alphabet, trace.output.data)
     return EXIT_OK
 
 
@@ -268,19 +271,22 @@ def cmd_decompose(args, parser):
     return EXIT_OK
 
 
+def _required(args, w: FiniteWord) -> list[FiniteWord]:
+    """The ``--require`` factors, over the alphabet of the input word."""
+    return [FiniteWord.from_text(w.alphabet, r) for r in args.require or ()]
+
+
 def cmd_stability(args, parser):
     w = _input_word(args, parser)
-    required = [FiniteWord.from_text(w.alphabet, r) for r in args.require or ()]
-    report = recurrence_stability(w, args.max_len, required=required)
+    report = recurrence_stability(w, args.max_len, required=_required(args, w))
     sys.stdout.write(report.to_tsv())
     return EXIT_OK
 
 
 def cmd_cut_search(args, parser):
     w = _input_word(args, parser)
-    required = [FiniteWord.from_text(w.alphabet, r) for r in args.require or ()]
     cuts = [int(c) for c in args.cuts.split(",") if c.strip() != ""]
-    cut = eap_cut_search(w, args.max_len, cuts, required=required)
+    cut = eap_cut_search(w, args.max_len, cuts, required=_required(args, w))
     print("absent" if cut is None else f"cut {cut}")
     return EXIT_OK
 

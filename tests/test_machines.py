@@ -1,3 +1,6 @@
+import time
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -144,8 +147,8 @@ class TestRunMealy:
 
 
 class TestMealyKernel:
-    """The machine-run kernel against the step-by-step oracle, on both sides
-    of the blocked run's state-count limit (64)."""
+    """The machine-run kernel against the step-by-step oracle, at strides
+    (chunk lengths) from 1 to 7."""
 
     @given(
         nq=st.integers(1, 80),
@@ -156,10 +159,11 @@ class TestMealyKernel:
     )
     @example(nq=1, na=2, n=1000, counter=False, seed=0)  # one state
     @example(nq=7, na=1, n=999, counter=False, seed=1)  # unary input
-    @example(nq=64, na=2, n=3000, counter=True, seed=2)  # widest blocked counter
-    @example(nq=65, na=2, n=3000, counter=True, seed=3)  # narrowest looped counter
-    # Block boundaries: 1600 symbols are 160 blocks of 10, 1601 leave one
-    # symbol in the last block, 1599 are 178 blocks of 9 with 6 in the last.
+    @example(nq=64, na=2, n=3000, counter=True, seed=2)  # a 64-state counter
+    @example(nq=65, na=2, n=3000, counter=True, seed=3)  # a 65-state counter
+    # Chunk edges: at 5 states and 2 labels the stride is 4, so 1600 symbols
+    # are 400 whole chunks, 1601 leave one symbol in the last chunk and 1599
+    # three.
     @example(nq=5, na=2, n=1600, counter=False, seed=4)
     @example(nq=5, na=2, n=1601, counter=False, seed=5)
     @example(nq=5, na=2, n=1599, counter=True, seed=6)
@@ -170,7 +174,7 @@ class TestMealyKernel:
         rng = np.random.default_rng(seed)
         if counter:
             # Counts the input symbols' sum modulo nq: a permutation per
-            # symbol, so no two lanes of the blocked run ever merge.
+            # symbol, so no two states ever merge.
             next_state = (np.arange(nq)[:, None] + np.arange(na)) % nq
         else:
             next_state = rng.integers(0, nq, (nq, na))
@@ -189,7 +193,7 @@ class TestMealyKernel:
 class TestTransducerKernel:
     """The machine-run kernel and run_transducer against the step-by-step
     transducer oracle: emission lengths mixed (0-3) or uniform (width 0, 1
-    or 2), on both sides of the blocked run's state-count limit (64)."""
+    or 2), with 1 to 80 states."""
 
     @given(
         nq=st.integers(1, 80),
@@ -199,11 +203,11 @@ class TestTransducerKernel:
         seed=st.integers(0, 2**32 - 1),
     )
     @example(nq=1, na=2, width=2, n=4, seed=0)  # a doubler: step lengths all 2
-    @example(nq=64, na=2, width=None, n=1600, seed=1)  # widest blocked, whole blocks
-    @example(nq=65, na=2, width=None, n=1601, seed=2)  # narrowest looped
-    @example(nq=64, na=3, width=2, n=1599, seed=3)  # short last block
+    @example(nq=64, na=2, width=None, n=1600, seed=1)  # stride 1
+    @example(nq=65, na=2, width=None, n=1601, seed=2)
+    @example(nq=64, na=3, width=2, n=1599, seed=3)
     @example(nq=65, na=2, width=2, n=1600, seed=4)
-    @example(nq=64, na=2, width=0, n=1601, seed=5)  # one symbol in the last block
+    @example(nq=64, na=2, width=0, n=1601, seed=5)
     @example(nq=65, na=1, width=0, n=16, seed=6)
     @example(nq=64, na=2, width=1, n=1600, seed=7)
     @example(nq=3, na=2, width=None, n=0, seed=8)
@@ -255,6 +259,79 @@ class TestTransducerKernel:
         assert np.array_equal(trace.output.data, want_out)
         assert np.array_equal(trace.step_lengths, want_lengths)
         assert trace.consumed == n
+
+
+class TestRunStrides:
+    """The machine-run kernel against the step-by-step transducer oracle on
+    inputs long enough for strides of 3 and more, cut at the chunk edges of
+    the stride the run picks.  The run goes ``_CHUNK`` symbols at a time;
+    smaller values put those edges inside the input."""
+
+    @given(
+        nq=st.integers(1, 40),
+        na=st.integers(1, 4),
+        n=st.integers(0, 20_000),
+        edge=st.sampled_from([None, -1, 0, 1]),
+        counter=st.booleans(),
+        chunk=st.sampled_from([1, 100, 1000, _kernels._CHUNK]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(nq=1, na=1, n=20_000, edge=0, counter=False, chunk=1000, seed=0)  # unary
+    @example(nq=6, na=1, n=19_999, edge=1, counter=True, chunk=100, seed=1)  # unary counter
+    @example(nq=3, na=2, n=20_000, edge=-1, counter=True, chunk=1000, seed=2)
+    @example(nq=3, na=2, n=20_000, edge=1, counter=False, chunk=_kernels._CHUNK, seed=3)
+    @example(nq=2, na=3, n=20_000, edge=0, counter=True, chunk=100, seed=4)
+    @example(nq=2, na=4, n=20_000, edge=1, counter=False, chunk=1000, seed=5)
+    @example(nq=40, na=2, n=2_000, edge=-1, counter=False, chunk=1, seed=6)  # stride 1
+    @settings(max_examples=60, deadline=None)
+    def test_matches_naive(self, nq, na, n, edge, counter, chunk, seed):
+        if edge is not None:
+            # j * k - 1, j * k or j * k + 1 symbols, k the stride for n.
+            k = _kernels._stride(n, nq, na)
+            n = max(0, n // k * k + edge)
+        rng = np.random.default_rng(seed)
+        if counter:
+            # A permutation per symbol: no two states ever merge.
+            next_state = (np.arange(nq)[:, None] + np.arange(na)) % nq
+        else:
+            next_state = rng.integers(0, nq, (nq, na))
+        next_state = next_state.astype(np.int32)
+        emissions = [
+            [rng.integers(0, 3, rng.integers(0, 3)).tolist() for a in range(na)]
+            for q in range(nq)
+        ]
+        initial = int(rng.integers(nq))
+        inp = rng.integers(0, na, n).astype(np.uint8)
+        want_states, want_keys, want_out, _ = naive_transducer_run(
+            next_state, emissions, initial, inp
+        )
+        table = EmissionTable([word for row in emissions for word in row])
+        with patch.object(_kernels, "_CHUNK", chunk):
+            states, keys, out = _kernels.mealy_run(next_state, table, initial, inp)
+        assert states.dtype == np.int32 and out.dtype == np.uint8
+        assert np.array_equal(states, want_states)
+        assert np.array_equal(keys, want_keys)
+        assert np.array_equal(out, want_out)
+
+    def test_wide_delay_machine_in_bounded_time(self):
+        # 4096 states run at stride 1 here; a run that steps every state
+        # through every symbol took 3.2-3.5 s (2 vCPU, numpy 2.4).
+        machine = delay_prepend_automaton(bword("010011000111"))
+        nq = len(machine.states)
+        assert nq == 4096
+        inp = np.random.default_rng(0).integers(0, 2, 200_000).astype(np.uint8)
+        t0 = time.perf_counter()
+        states, keys, out = _kernels.mealy_run(
+            machine._next, machine._emit, machine._initial_idx, inp
+        )
+        assert time.perf_counter() - t0 < 2.0
+        emissions = [[machine._emit[q * 2 + a].tolist() for a in range(2)] for q in range(nq)]
+        want_states, want_keys, want_out, _ = naive_transducer_run(
+            machine._next, emissions, machine._initial_idx, inp
+        )
+        assert np.array_equal(states, want_states)
+        assert np.array_equal(keys, want_keys)
+        assert np.array_equal(out, want_out)
 
 
 class TestMealyStream:
