@@ -5,7 +5,9 @@ One implementation per kernel:
 * ``find_occurrences``, a vectorized scan over packed codes (``pack``):
   byte i of the codes holds the symbols at i, i+1, ... at 1, 2, 4 or 8
   bits each, so one aligned byte compare checks up to eight symbols at
-  every position, and
+  every position.  A long text is scanned one stretch of ``_CHUNK``
+  starts at a time, its codes packed (or sliced from given codes) and
+  filtered while they are in cache, and
 * ``mealy_run``, the one run of every machine, Mealy or transducer.  It
   computes the states visited by a k-step table walk, for any number of
   states and labels: the chunked run of Mytkowicz, Musuvathi and Schulte
@@ -31,21 +33,30 @@ class PackedCodes(np.ndarray):
 # Whole-text passes run a chunk of positions at a time, so that no
 # temporary is as long as the text and each chunk's temporary is still in
 # cache when it is read back: on 10^7 binary symbols (2 vCPU, numpy 2.4)
-# this halves the time of ``pack`` and cuts a third off each compare
-# that narrows the mask.
+# this halves the time of ``pack``.  ``find_occurrences`` scans one
+# stretch of _CHUNK starts at a time for the same reason.
 _CHUNK = 1 << 18
 
 
-def pack(text):
+def _width(top):
+    """The bits per symbol of codes whose largest symbol is ``top``."""
+    return 1 if top < 2 else 2 if top < 4 else 4 if top < 16 else 8
+
+
+def pack(text, bits=None):
     """Packed codes of a uint8 text: ``codes[i]`` holds ``text[i : i + s]`` at
     b bits per symbol, the first symbol in the lowest bits and zeros past
-    the end of the text, b the width of the largest symbol (1, 2, 4 or 8)
-    and s = 8 // b.
+    the end of the text, b = ``bits`` or else the width of the largest
+    symbol (1, 2, 4 or 8), and s = 8 // b.  ``bits`` must hold the
+    largest symbol.
 
     A code depends only on the s symbols from i on, so the codes of a word
     serve every slice of it: ``pack(w)[a:]`` are the codes of ``w[a:b]``
-    wherever ``find_occurrences`` reads them.  Built by doubling: after
-    the level of step d, ``codes[i]`` holds the 2d symbols from i, as
+    wherever ``find_occurrences`` reads them.  Built by doubling: the first
+    level writes ``text[i] + text[i + 1] * 2^b`` into a fresh buffer (one
+    pass fewer than adding to a copy of the text: 10^6 binary symbols take
+    0.43 ms against 0.48 ms, 2 vCPU, numpy 2.4), and after the level of
+    step d, ``codes[i]`` holds the 2d symbols from i, as
     ``codes[i] + codes[i + d] * 2^(b*d)`` (a uint8 multiply, which numpy
     runs several times faster than a shift); 3 levels for binary text.
     A level runs chunk by chunk in ascending order, so a chunk reads the
@@ -53,20 +64,28 @@ def pack(text):
     """
     text = np.ascontiguousarray(text, np.uint8)
     n = text.shape[0]
-    top = int(text.max()) if n else 0
-    bits = 1 if top < 2 else 2 if top < 4 else 4 if top < 16 else 8
+    if bits is None:
+        bits = _width(int(np.maximum.reduce(text)) if n else 0)
     codes = text
-    if bits < 8:
-        # The loops run on the plain array: each slice of a PackedCodes
-        # view would call __array_finalize__.
-        codes = text.copy()
-        scaled = np.empty(min(n, _CHUNK), np.uint8)
-        step = 1
+    if n and bits < 8:
+        # The loops run on plain arrays: each slice of a PackedCodes view
+        # would call __array_finalize__.  Outputs are passed positionally,
+        # as in _stretch_starts.
+        codes = np.empty(n, np.uint8)
+        codes[n - 1] = text[n - 1]
+        for a in range(0, n - 1, _CHUNK):
+            c = codes[a : min(a + _CHUNK, n - 1)]
+            np.multiply(text[a + 1 : a + 1 + c.size], 1 << bits, c)
+            np.add(c, text[a : a + c.size], c)
+        if bits < 4:
+            scaled = np.empty(min(n, _CHUNK), np.uint8)
+        step = 2
         while step * bits < 8:
             for a in range(0, n - step, _CHUNK):
                 s = scaled[: min(_CHUNK, n - step - a)]
-                np.multiply(codes[a + step : a + step + s.size], 1 << (step * bits), out=s)
-                codes[a : a + s.size] += s
+                c = codes[a : a + s.size]
+                np.multiply(codes[a + step : a + step + s.size], 1 << (step * bits), s)
+                np.add(c, s, c)
             step *= 2
     codes = codes.view(PackedCodes)
     codes.bits = bits
@@ -106,57 +125,88 @@ def find_occurrences(text, pattern, packed=None):
 
     ``packed`` are the codes of ``text`` from ``pack``, or of a word that
     ``text`` is a slice of, sliced at the same start; without them the
-    text is packed here.  With s symbols per code, a pattern shorter than
-    s is one compare of masked codes.  A longer one is covered by its codes
-    at offsets 0, s, 2s, ... and one last code at m - s, which may overlap
-    the one before it, so a start is checked by ceil(m/s) aligned byte
-    compares and the worst case is O(n * ceil(m/s)) compares: 0^1000 in
-    0^(10^6), where every start matches, takes 23-32 ms at s = 8, and
-    17^1000 in 17^(10^6), at s = 1, 0.17-0.24 s (2 vCPU, numpy 2.4, the
-    packing included).  A pattern symbol wider than the codes' b bits
+    text is packed here, at the width of its largest symbol.  The starts
+    are scanned in stretches of max(_CHUNK, m): stretch [a, a + size) reads
+    the codes of ``text[a : a + size + m - 1]``, a slice of ``packed`` or
+    packed on the spot, so that its codes and its mask are still in cache
+    when they are read back and no temporary is as long as the text.  On
+    the paper's word at 10^7 symbols, unpacked, a scan for m = 5, 25 and
+    125 takes 21-27, 17-19 and 22-23 ms and peaks at 16.0, 1.6 and 0.9 MB
+    of numpy memory (tracemalloc), mostly the starts, against 26-27,
+    27-31 and 32-34 ms and 20-24 MB for one mask over the whole text.
+
+    With s symbols per code, a pattern shorter than s is one compare of
+    masked codes.  A longer one is covered by its codes at offsets 0, s,
+    2s, ... and one last code at m - s, which may overlap the one before
+    it, so a start is checked by ceil(m/s) aligned byte compares and the
+    worst case is O(n * ceil(m/s)) compares: 0^1000 in 0^(10^6), where
+    every start matches, takes 25-50 ms at s = 8, and 17^1000 in
+    17^(10^6), at s = 1, 0.22-0.24 s (the packing included; all figures
+    2 vCPU, numpy 2.4).  A pattern symbol wider than the codes' b bits
     occurs nowhere.
     """
-    if packed is None:
-        packed = pack(text)
-    bits = packed.bits
-    codes = packed.view(np.ndarray)
     pattern = np.ascontiguousarray(pattern, np.uint8)
     n = len(text)
     m = pattern.shape[0]
+    if m > n:
+        return np.empty(0, np.int64)
+    if packed is None:
+        bits = _width(int(np.maximum.reduce(text)))
+    else:
+        bits = packed.bits
+        codes = packed.view(np.ndarray)
     per = 8 // bits
     offsets = [*range(0, m - per, per), max(m - per, 0)]
-    p = _pattern_codes(pattern, bits, offsets) if m <= n else None
+    p = _pattern_codes(pattern, bits, offsets)
     if p is None:
         return np.empty(0, np.int64)
     span = n - m + 1
-    if m < per:
-        # Masked and compared in one buffer; no gathers follow, so codes
-        # packed by this call are freed before the starts are listed.
-        hit = codes[:span] & ((1 << (bits * m)) - 1)
-        np.equal(hit, p[0], out=hit.view(bool))
-        del packed, codes
-        return np.nonzero(hit.view(bool))[0].astype(np.int64, copy=False)
-    hit = codes[:span] == p[0]
-    # A whole-text mask costs the same however few starts survive, a gather
-    # costs several times more per start: mask while more than 1/8 of the
-    # starts survive, then filter the survivors as an index array.
-    equal = np.empty(min(span, _CHUNK), bool)
+    step = max(_CHUNK, m)
+    low = (1 << (bits * m)) - 1 if m < per else None
+    if span <= step:
+        # One stretch: its starts as they are, with no offset or copy.
+        if packed is None:
+            codes = pack(text, bits).view(np.ndarray)
+        return _stretch_starts(codes, span, p, offsets, low)
+    parts = []
+    for a in range(0, span, step):
+        size = min(step, span - a)
+        stop = a + size + m - 1
+        if packed is None:
+            part = pack(text[a:stop], bits).view(np.ndarray)
+        else:
+            part = codes[a:stop]
+        starts = _stretch_starts(part, size, p, offsets, low)
+        starts += a
+        parts.append(starts)
+    return np.concatenate(parts)
+
+
+def _stretch_starts(codes, size, p, offsets, low):
+    """The starts in [0, size) of the pattern whose codes at ``offsets`` are
+    ``p``, ascending, as int64, read from the codes of one stretch;
+    ``low`` masks the codes of a pattern shorter than one code, and is
+    None for a longer one.  Outputs are passed positionally: out= as a
+    keyword costs about 0.5 us a call, which short texts feel."""
+    if low is not None:
+        hit = codes[:size] & low
+        found = hit.view(bool)
+        np.equal(hit, p[0], found)
+        return found.nonzero()[0].astype(np.int64, copy=False)
+    hit = codes[:size] == p[0]
+    # A mask over the stretch costs the same however few starts survive, a
+    # gather costs several times more per start: mask while more than 1/8
+    # of the starts survive, then filter the survivors as an index array.
     k = 1
-    while k < len(offsets) and 8 * np.count_nonzero(hit) > span:
+    while k < len(offsets) and 8 * np.count_nonzero(hit) > size:
         j = offsets[k]
-        for a in range(0, span, _CHUNK):
-            e = equal[: min(_CHUNK, span - a)]
-            np.equal(codes[j + a : j + a + e.size], p[k], out=e)
-            hit[a : a + e.size] &= e
+        np.bitwise_and(hit, codes[j : j + size] == p[k], hit)
         k += 1
-    cand = np.nonzero(hit)[0]
-    # Freed before the gathers, whose index arrays can take up n bytes
-    # each, so that the codes take the mask's place in memory.
-    del hit, equal
+    cand = hit.nonzero()[0]
     for j, code in zip(offsets[k:], p[k:]):
         if cand.size == 0:
             break
-        cand = cand[codes[cand + j] == code]
+        cand = cand[codes[j:][cand] == code]
     return cand.astype(np.int64, copy=False)
 
 

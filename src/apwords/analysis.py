@@ -122,13 +122,15 @@ def check_window(x: FiniteWord, w: FiniteWord, window_length: int) -> int | None
     # Window [i, i+l-1] contains x iff some start p satisfies i <= p <= i+l-|x|.
     # The windows from prev+1 on (prev the previous start, -1 before the
     # first) are covered by the next start p only while i >= p - span, so
-    # the first uncovered one is prev+1 for the first gap p - prev > span+1.
+    # the first uncovered one is prev+1 for the first gap p - prev > span+1:
+    # 0 when the first start is past span, else one past the start that
+    # opens the first wide gap.
     span = window_length - len(x)
-    prev = np.concatenate(([-1], starts[:-1]))
-    gap = starts - prev > span + 1
-    k = int(gap.argmax())
-    if gap[k]:
-        return int(prev[k]) + 1
+    if starts[0] > span:
+        return 0
+    gap = np.diff(starts) > span + 1
+    if gap.any():
+        return int(starts[gap.argmax()]) + 1
     if starts[-1] < len(w) - window_length:
         return int(starts[-1]) + 1
     return None

@@ -33,7 +33,8 @@ class RunTrace:
     ``state_labels``; ``states``, the tuple of their labels, is built on
     first access.  The output is the machine's emissions on each step,
     concatenated; ``step_lengths[i]`` is the number of output symbols
-    emitted by step i (a read-only broadcast of one value when every
+    emitted by step i, in the narrowest unsigned dtype that holds the
+    longest emission (a read-only broadcast of one value when every
     emission has the same length, as in a Mealy machine).  Two traces are
     equal when their states, outputs and symbol counts are.
     """
@@ -184,7 +185,7 @@ def run_transducer(machine: Transducer, word: FiniteWord) -> RunTrace:
     states, keys, out = _run(machine, word.data)
     lengths = machine._emit.lengths
     if np.ptp(lengths):
-        step_lengths = lengths[keys]
+        step_lengths = lengths.astype(np.min_scalar_type(lengths.max()))[keys]
     else:
         step_lengths = np.broadcast_to(lengths[0], keys.shape)
     return RunTrace(

@@ -70,7 +70,9 @@ class InfiniteWordSource:
         return view
 
     def prefix(self, n: int) -> FiniteWord:
-        return FiniteWord._wrap(self.alphabet, self.prefix_array(n).copy())
+        # No copy: materialize_to replaces _buf and never writes into it,
+        # so the read-only view keeps its symbols.
+        return FiniteWord._wrap(self.alphabet, self.prefix_array(n))
 
     def symbol_at(self, i: int) -> str:
         """Label of the symbol at index i (64-bit indices accepted)."""

@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 from unittest.mock import patch
 
 import numpy as np
@@ -40,6 +41,50 @@ def scan_cases(draw):
     else:
         pattern = draw(st.lists(symbol, min_size=m, max_size=m))
     return text, pattern
+
+
+@st.composite
+def stretch_cases(draw):
+    """A stretch length C (patched into ``_kernels._CHUNK``), a word w and a
+    slice start a, such that the text w[a : a + n] has n = j*C - 1, j*C or
+    j*C + 1 symbols (j = 1..4), and a pattern of up to 3C symbols, so that
+    scans cross stretch edges and patterns outgrow a stretch.
+
+    The text is binary (random, unary, periodic, or zeros with ones only
+    near both ends, so that the stretches between hold no start), with
+    possibly one wide symbol (2-255) among its last C/2 symbols: then every
+    earlier stretch must be read at the whole text's width.  The pattern is
+    a factor of the text, possibly with one symbol changed, or random."""
+    chunk = draw(st.sampled_from([8, 13, 32, 64]))
+    n = draw(st.integers(1, 4)) * chunk + draw(st.sampled_from([-1, 0, 1]))
+    bit = st.integers(0, 1)
+    kind = draw(st.sampled_from(["random", "unary", "periodic", "ends"]))
+    if kind == "random":
+        text = draw(st.lists(bit, min_size=n, max_size=n))
+    elif kind == "unary":
+        text = [draw(bit)] * n
+    elif kind == "periodic":
+        period = draw(st.lists(bit, min_size=1, max_size=6))
+        text = (period * n)[:n]
+    else:
+        text = [0] * n
+        for i in draw(st.lists(st.integers(0, 3), max_size=3)):
+            text[min(i, n - 1)] = text[max(n - 1 - i, 0)] = 1
+    wide = draw(st.sampled_from([None, 2, 3, 4, 15, 16, 17, 255]))
+    if wide is not None:
+        text[draw(st.integers(max(n - chunk // 2, 0), n - 1))] = wide
+    m = draw(st.integers(1, min(n, 3 * chunk)))
+    if draw(st.integers(0, 3)):
+        i = draw(st.integers(0, n - m))
+        pattern = text[i : i + m]
+        if draw(st.booleans()):
+            j = draw(st.integers(0, m - 1))
+            pattern[j] = draw(st.sampled_from([0, 1, 2, 16]))
+    else:
+        pattern = draw(st.lists(bit, min_size=m, max_size=m))
+    head = draw(st.lists(bit, max_size=chunk))
+    tail = draw(st.lists(st.sampled_from([0, 1, 255]), max_size=8))
+    return chunk, head + text + tail, len(head), n, pattern
 
 
 def _word(symbols):
@@ -131,6 +176,45 @@ class TestFindOccurrences:
         ]
         assert codes.dtype == np.uint8 and codes.bits == bits
         assert codes.tolist() == expected
+
+    @given(stretch_cases())
+    @example((8, [0] * 7 + [1] + [0] * 16 + [1], 0, 25, [1]))
+    @example((8, [0] * 16, 0, 16, [0] * 9))
+    @example((8, [0] * 23 + [16], 0, 24, [0, 16]))
+    @example((13, [1] + [0, 1] * 20 + [255], 1, 40, [0, 1] * 3))
+    @settings(max_examples=300, deadline=None)
+    def test_stretches_match_naive(self, case):
+        # Scans of many short stretches: with and without the word's codes,
+        # also when those codes are a slice of a longer word's.
+        chunk, word, a, n, pattern = case
+        w = _array(word, 0, False)
+        text, p = w[a : a + n], _array(pattern, 0, False)
+        want = naive_occurrences(_word(pattern), _word(word[a : a + n]))
+        with patch.object(_kernels, "_CHUNK", chunk):
+            for starts in (
+                find_occurrences(text, p),
+                find_occurrences(text, p, packed=pack(w)[a:]),
+                find_occurrences(text, p, packed=pack(text)),
+            ):
+                assert starts.dtype == np.int64
+                assert starts.tolist() == want
+
+    def test_scan_memory_is_bounded_by_the_stretch(self):
+        # Without codes, a text of 8 stretches is packed and filtered one
+        # stretch at a time, so the scan's peak is a few stretches' worth,
+        # where codes and a mask as long as the text would take about 16.
+        chunk = _kernels._CHUNK
+        text = np.zeros(8 * chunk, np.uint8)
+        text[[5, 4 * chunk, 8 * chunk - 7]] = 1
+        for pattern, count in (([1], 3), ([0, 1, 0], 3), ([0] * 6 + [1] + [0] * 3, 2)):
+            tracemalloc.start()
+            try:
+                starts = find_occurrences(text, np.array(pattern, np.uint8))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert starts.size == count
+            assert peak < 5 * chunk
 
     def test_long_unary_pattern_in_bounded_time(self):
         # Every position matches all 1000 symbols: the worst case of a

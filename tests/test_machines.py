@@ -424,6 +424,17 @@ class TestTransducer:
         )
         assert run_transducer(t, bword("0110")).output.to_text() == "xx"
 
+    @pytest.mark.parametrize("longest, dtype", [(2, np.uint8), (300, np.uint16)])
+    def test_step_lengths_in_narrowest_dtype(self, longest, dtype):
+        # One byte a step while the longest emission fits in a byte.
+        t = Transducer(
+            BINARY, BINARY, ["q"], "q",
+            {("q", "0"): ("q", []), ("q", "1"): ("q", ["1"] * longest)},
+        )
+        trace = run_transducer(t, bword("0110"))
+        assert trace.step_lengths.dtype == dtype
+        assert trace.step_lengths.tolist() == [0, longest, longest, 0]
+
     def test_output_length_is_sum_of_emissions(self):
         rng = np.random.default_rng(11)
         t = random_transducer(rng, 3, 2, 2, 3)

@@ -9,6 +9,7 @@ from apwords import (
     BoundsError,
     BudgetError,
     CounterexampleFamily,
+    FiniteWord,
     Homomorphism,
     Segment,
     morphic_source,
@@ -93,6 +94,25 @@ class TestMemoization:
         with pytest.raises(BudgetError):
             src.materialize_to(1001)
         src.materialize_to(1000)
+
+    def test_prefix_is_a_view_that_outlives_growth(self):
+        # A prefix shares the source's buffer, read-only; growing the
+        # source replaces that buffer, so the prefix keeps its symbols.
+        src = thue_morse_source()
+        word = src.prefix(1000)
+        assert not word.data.flags.writeable
+        assert np.shares_memory(word.data, src.prefix_array(1000))
+        before = word.data.tolist()
+        src.materialize_to(100_000)
+        assert src.materialized >= 100_000
+        assert word.data.tolist() == before
+        assert word == src.prefix(1000)
+        # The public constructor still copies what it is given.
+        data = np.array([0, 1, 1, 0], np.uint8)
+        copied = FiniteWord(BINARY, data)
+        assert not np.shares_memory(copied.data, data)
+        data[0] = 1
+        assert copied.to_text() == "0110"
 
     def test_large_prefix_matches_recomputation(self):
         fam = CounterexampleFamily()
