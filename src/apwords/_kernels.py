@@ -12,10 +12,13 @@ One implementation per kernel:
   computes the states visited by a k-step table walk, for any number of
   states and labels: the chunked run of Mytkowicz, Musuvathi and Schulte
   ("Data-Parallel Finite-State Machines", ASPLOS 2014) with a table of
-  chunk transitions in place of running each chunk from every state.
-  The output is then one expansion of the steps' keys through the
-  machine's ``EmissionTable``.
+  chunk transitions.  A machine of few states also takes the paper's
+  other half: blocks of chunks run from every state at once, so that the
+  Python walk takes one step per block.  The output is then one
+  expansion of the steps' keys through the machine's ``EmissionTable``.
 """
+
+from math import isqrt
 
 import numpy as np
 
@@ -236,16 +239,40 @@ def _stride(n, nq, na):
     return k
 
 
+# The most states for which _run_states composes blocks of chunks.
+_COMPOSE_STATES = 24
+
+
+def _blocking(chunks, nq):
+    """The chunks K per block of the walk over ``chunks`` chunk codes
+    through nq states (``_run_states``); K = 1 walks one chunk at a time.
+
+    Composing the blocks' maps costs about nq gathered cells per chunk
+    (one add and one gather each), the walk one Python step per chunk,
+    which costs about as much as 30 states' cells: on a sweep of 8-96
+    states over 2, 3 and 17 labels at 2*10^5 and 10^6 symbols (2 vCPU,
+    numpy 2.4), blocks paid up to 28 states and broke even at 28-32.
+    They are used up to _COMPOSE_STATES.  Otherwise K balances a replay block's about 2K
+    numpy calls (a few us each) against its C/K walk steps (about 150 ns
+    each): K = sqrt(C / 32)."""
+    return max(1, isqrt(chunks // 32)) if nq <= _COMPOSE_STATES else 1
+
+
 def _run_states(next_state, initial, inp):
     """States visited (``int32[n + 1]``), by a k-step table walk.
 
     The input is cut into chunks of k symbols (``_stride``).  A table gives
-    the state after each chunk from each state, a Python walk of n/k steps
-    through it the state each chunk starts in, and the k steps of all
-    chunks are then replayed at once, one gather per step, ``_CHUNK``
-    symbols at a time so that the replay's strided passes stay in cache.
-    On 10^6 random binary symbols (2 vCPU, numpy 2.4) a 16-state machine
-    takes 12-14 ms at k = 11.
+    the state after each chunk from each state, and the k steps of all
+    chunks are replayed at once, one gather per step, ``_CHUNK`` symbols
+    at a time so that the replay's strided passes stay in cache.  The state
+    each chunk starts in comes from a Python walk through the table.  With
+    few states (``_blocking``) the chunks are grouped into blocks of K: K
+    gathers build each block's map of every state to the state after the
+    block, the walk takes one step per block through those maps, and K - 1
+    gathers more give each chunk's entry state from its block's.  On 10^6
+    random binary symbols (2 vCPU, numpy 2.4) a 16-state machine takes
+    10-16 ms at k = 11 and K = 27, against 13-22 ms walking one chunk at
+    a time.
     """
     n = inp.shape[0]
     nq, na = next_state.shape
@@ -260,34 +287,74 @@ def _run_states(next_state, initial, inp):
     table = next_state
     for _ in range(k - 1):
         table = next_state[table].reshape(nq, -1)
-    # The walk carries q as q * |A|^k, so that a step is one add and one
-    # list index (lists index about four times faster than numpy arrays).
-    # The cells share the object array's nq ints: one pointer per cell.
     width = na**k
-    walk = (np.arange(nq, dtype=object) * width)[table].ravel().tolist()
-    q = int(initial) * width
+    per = max(1, _CHUNK // k)
+    blocking = _blocking(min(chunks, per), nq)
+    if blocking == 1:
+        # The walk carries q as q * |A|^k, so that a step is one add and one
+        # list index (lists index about four times faster than numpy
+        # arrays).  The cells share the object array's nq ints: one pointer
+        # per cell.
+        walk = (np.arange(nq, dtype=object) * width)[table].ravel().tolist()
+    else:
+        # flat[q * |A|^k + c]: the state after chunk c from q, times |A|^k,
+        # the index of that state's row.
+        flat = table.astype(np.intp).ravel() * width
+    q = int(initial)
     # The replay carries q as q * |A|, so that a step is one add and one
     # gather; its indices are in range, and mode="clip" skips the check.
     step = next_state.astype(np.intp).ravel() * na
     states = np.empty(chunks * k + 1, np.int32)
     states[0] = initial
     by_chunk = states[1:].reshape(chunks, k)
-    per = max(1, _CHUNK // k)
     for a in range(0, chunks, per):
         part, out = text[a : a + per], by_chunk[a : a + per]
         codes = part[:, 0].astype(np.intp)
         for j in range(1, k):
             codes *= na
             codes += part[:, j]
+        if blocking == 1:
+            rows, offsets, q = walk, memoryview(codes), q * width
+        else:
+            # grid[b, j]: the code of chunk j of block b, zeros past the end.
+            blocks = -(-codes.shape[0] // blocking)
+            grid = np.zeros((blocks, blocking), np.intp)
+            grid.ravel()[: codes.shape[0]] = codes
+            # maps[b, q]: from q, the cell of the next chunk of block b, and
+            # at the end the state after the block.
+            maps = np.arange(0, nq * width, width) + grid[:, :1]
+            for j in range(1, blocking):
+                np.take(flat, maps, None, maps, "clip")
+                maps += grid[:, j, None]
+            np.take(flat, maps, None, maps, "clip")
+            maps //= width
+            # The walk carries q as a state, and rows[b * nq + q] is the
+            # state after block b from q; ints below 257 are cached, so the
+            # list allocates no int objects.
+            rows, offsets = maps.ravel().tolist(), range(0, blocks * nq, nq)
         entry = []
-        for c in memoryview(codes):
+        for off in offsets:
             entry.append(q)
-            q = walk[q + c]
-        current = np.array(entry, np.intp) // (width // na)
+            q = rows[q + off]
+        current = np.array(entry, np.intp)
+        if blocking > 1:
+            # Each chunk of a block starts where the one before it ends.
+            current *= width
+            starts = np.empty((blocks, blocking), np.intp)
+            starts[:, 0] = current
+            for j in range(1, blocking):
+                current += grid[:, j - 1]
+                np.take(flat, current, None, current, "clip")
+                starts[:, j] = current
+            current = starts.ravel()[: codes.shape[0]]
+        current //= width // na
         keys = np.empty_like(current)
         for j in range(k):
             np.add(current, part[:, j], out=keys)
             np.take(step, keys, out=current, mode="clip")
             out[:, j] = current
         out //= na
+        # The next replay starts where this one's last chunk ends; a walk
+        # over padded blocks ran past it.
+        q = int(out[-1, -1])
     return states[: n + 1]

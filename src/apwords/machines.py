@@ -8,6 +8,7 @@ afterwards; runs are pure functions of machine and input.
 from __future__ import annotations
 
 from collections import deque
+from itertools import chain
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -16,7 +17,7 @@ import numpy as np
 from . import _kernels
 from .errors import AlphabetError, BudgetError, FormatError
 from .sources import InfiniteWordSource
-from .words import Alphabet, EmissionTable, FiniteWord, _encode
+from .words import Alphabet, EmissionTable, FiniteWord, _encode, _lookup
 
 INFINITE_EVIDENT = "infinite-evident"
 FINITE_SO_FAR = "finite-so-far"
@@ -65,17 +66,32 @@ class RunTrace:
 
 
 def _state_label(alphabet: Alphabet, indices) -> str:
-    labels = [alphabet.label(int(i)) for i in indices]
-    return "".join(labels) if alphabet.single_char else ",".join(labels)
+    sep = "" if alphabet.single_char else ","
+    return sep.join(map(alphabet.labels.__getitem__, indices))
 
 
-def _emission(word, alphabet: Alphabet) -> np.ndarray:
-    """Index array of a FiniteWord or a sequence of labels over ``alphabet``."""
-    if isinstance(word, FiniteWord):
-        if word.alphabet != alphabet:
-            raise AlphabetError(f"emission {word!r} over wrong alphabet")
-        return word.data
-    return _encode(alphabet, word)
+def _emissions(words, alphabet: Alphabet) -> EmissionTable:
+    """The table of ``words``, each a FiniteWord or a sequence of labels
+    over ``alphabet``.  The label sequences are encoded in one pass; the
+    first symbol ``alphabet`` lacks raises AlphabetError naming it and its
+    position in its word."""
+    lengths = np.fromiter(map(len, words), np.int64, len(words))
+    spelled = [w for w in words if not isinstance(w, FiniteWord)]
+    codes = _lookup(alphabet, list(chain.from_iterable(spelled)))
+    if (codes < 0).any():
+        for w in spelled:
+            _encode(alphabet, w)
+    cells = codes.astype(np.uint8)
+    if len(spelled) < len(words):
+        given = [w for w in words if isinstance(w, FiniteWord)]
+        for w in given:
+            if w.alphabet != alphabet:
+                raise AlphabetError(f"emission {w!r} over wrong alphabet")
+        in_spelled = np.repeat([not isinstance(w, FiniteWord) for w in words], lengths)
+        cells = np.empty(in_spelled.shape[0], np.uint8)
+        cells[in_spelled] = codes
+        cells[~in_spelled] = np.concatenate([np.empty(0, np.uint8), *(w.data for w in given)])
+    return EmissionTable.from_cells(lengths, cells)
 
 
 class Transducer:
@@ -98,16 +114,16 @@ class Transducer:
         self.initial = initial
         state_idx = {q: i for i, q in enumerate(self.states)}
         nq, na = len(self.states), len(input_alphabet)
-        self._next = np.zeros((nq, na), np.int32)
+        next_state = [-1] * (nq * na)
         emissions = [None] * (nq * na)
         for (q, a), (q2, out) in transitions.items():
             if q not in state_idx:
                 raise FormatError(f"transition from undeclared state {q!r}")
             if q2 not in state_idx:
                 raise FormatError(f"transition to undeclared state {q2!r}")
-            qi, ai = state_idx[q], input_alphabet.index(a)
-            self._next[qi, ai] = state_idx[q2]
-            emissions[qi * na + ai] = _emission(out, output_alphabet)
+            key = state_idx[q] * na + input_alphabet.index(a)
+            next_state[key] = state_idx[q2]
+            emissions[key] = out
         missing = [
             (self.states[k // na], input_alphabet.label(k % na))
             for k, emitted in enumerate(emissions)
@@ -115,7 +131,8 @@ class Transducer:
         ]
         if missing:
             raise FormatError(f"transition table not total; missing {missing[:5]}")
-        self._emit = EmissionTable(emissions)
+        self._next = np.array(next_state, np.int32).reshape(nq, na)
+        self._emit = _emissions(emissions, output_alphabet)
         self._initial_idx = state_idx[self.initial]
         self._state_idx = state_idx
 
@@ -155,7 +172,7 @@ class Homomorphism:
         for s in source:
             if s not in images:
                 raise FormatError(f"no image for symbol {s!r}")
-        self._images = EmissionTable(_emission(images[s], target) for s in source)
+        self._images = _emissions([images[s] for s in source], target)
 
     def image(self, label: str) -> FiniteWord:
         return FiniteWord(self.target, self._images[self.source.index(label)])
@@ -236,7 +253,8 @@ def delay_prepend_automaton(a: FiniteWord) -> MealyMachine:
             f"the delay machine of {len(a)} symbols over {len(alph)} letters has "
             f"sigma^L = {len(alph)}^{len(a)} states, over the bound {MAX_DELAY_STATES}"
         )
-    start = tuple(int(i) for i in a.data)
+    start = tuple(a.data.tolist())
+    names = alph.labels
     transitions = {}
     # State tuple -> label, filled when the search first meets the state;
     # its insertion order is the BFS order of the states.
@@ -244,12 +262,12 @@ def delay_prepend_automaton(a: FiniteWord) -> MealyMachine:
     queue = deque([start])
     while queue:
         u = queue.popleft()
-        for s in range(len(alph)):
+        for s, name in enumerate(names):
             v = u[1:] + (s,)
             if v not in labels:
                 labels[v] = _state_label(alph, v)
                 queue.append(v)
-            transitions[(labels[u], alph.label(s))] = (labels[v], alph.label(u[0]))
+            transitions[(labels[u], name)] = (labels[v], names[u[0]])
     return MealyMachine(alph, alph, labels.values(), labels[start], transitions)
 
 

@@ -135,4 +135,6 @@ class MorphicSource(InfiniteWordSource):
         w = np.array([self.seed], np.uint8)
         while w.size < n:
             w = self._images.expand(w)
-        return w[:n]
+        # A view would keep the whole last expansion, up to |longest image|
+        # times n symbols, alive as long as the prefix.
+        return w[:n].copy() if w.size > n else w

@@ -32,11 +32,14 @@ class EmissionTable:
     The words are kept as rows of a zero-padded ``(keys, width)`` uint8
     table, ``width`` the longest word's length, plus a mask of the valid
     cells.  Each row, and each row of the mask, is also viewed as one
-    fixed-width item (``np.void`` of ``width`` bytes), so that ``expand``
-    is one 1-D gather of whole rows, then one boolean selection of the
-    valid cells.  A uniform table, whose words all have one length (Mealy
-    machines, uniform morphisms such as Thue–Morse), has no padding and
-    skips the selection; a table of empty words expands to nothing.
+    fixed-width item, so that ``expand`` is one 1-D gather of whole rows,
+    then one boolean selection of the valid cells.  Rows of 1, 2, 4 or 8
+    bytes are viewed as native unsigned integers, which numpy gathers
+    several times faster than ``np.void`` items: a table with padding pads
+    its rows to the next of those widths, up to 8.  A uniform table, whose
+    words all have one length (Mealy machines, uniform morphisms such as
+    Thue–Morse), has no padding and skips the selection; a table of empty
+    words expands to nothing.
     """
 
     __slots__ = ("lengths", "_padded", "_rows", "_cells", "_block")
@@ -47,19 +50,33 @@ class EmissionTable:
 
     def __init__(self, words):
         words = [np.asarray(w, np.uint8).reshape(-1) for w in words]
-        lengths = np.array([w.shape[0] for w in words], np.int64)
-        width = int(lengths.max())
+        self._fill(np.array([w.shape[0] for w in words], np.int64), np.concatenate(words))
+
+    @classmethod
+    def from_cells(cls, lengths, cells) -> EmissionTable:
+        """The table of the words whose lengths are ``lengths`` and whose
+        concatenation, in key order, is ``cells``."""
+        table = cls.__new__(cls)
+        table._fill(np.asarray(lengths, np.int64), cells)
+        return table
+
+    def _fill(self, lengths, cells):
+        longest = int(lengths.max())
+        uniform = bool((lengths == longest).all())
+        width = longest if uniform or longest > 8 else 1 << (longest - 1).bit_length()
         mask = np.arange(width) < lengths[:, None]
-        padded = np.zeros((len(words), width), np.uint8)
-        padded[mask] = np.concatenate(words)
+        padded = np.zeros((lengths.shape[0], width), np.uint8)
+        padded[mask] = cells
         for arr in (lengths, mask, padded):
             arr.flags.writeable = False
         self.lengths = lengths
         self._padded = padded
-        # A width-0 void view keeps the (keys, 0) shape: no items to gather.
-        item = np.dtype((np.void, width))
+        # A width-0 item keeps the (keys, 0) shape: no items to gather.
+        item = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}.get(
+            width, np.dtype((np.void, width))
+        )
         self._rows = padded.view(item).ravel() if width else None
-        self._cells = None if (lengths == width).all() else mask.view(item).ravel()
+        self._cells = None if uniform else mask.view(item).ravel()
         self._block = max(1, self.BLOCK_CELLS // max(width, 1))
 
     def __getitem__(self, key: int) -> np.ndarray:

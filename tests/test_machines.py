@@ -334,6 +334,73 @@ class TestRunStrides:
         assert np.array_equal(out, want_out)
 
 
+class TestRunBlocks:
+    """The machine-run kernel against the step-by-step transducer oracle
+    where its walk composes blocks of K chunks (``_kernels._blocking``).
+    ``_CHUNK`` is patched small, so that the run has several replay blocks,
+    each walking its own blocks, and the last one holds j * K - 1, j * K or
+    j * K + 1 chunks.  The machines have up to 4 states, or one state
+    fewer, as many or one more than ``_COMPOSE_STATES``, where the walk
+    stops composing."""
+
+    LIMIT = _kernels._COMPOSE_STATES
+
+    @given(
+        nq=st.sampled_from([1, 2, 3, 4, LIMIT - 1, LIMIT, LIMIT + 1]),
+        na=st.sampled_from([1, 2, 17]),
+        replays=st.integers(1, 3),
+        j=st.integers(1, 3),
+        edge=st.sampled_from([-1, 0, 1]),
+        short=st.integers(0, 20),
+        chunk=st.sampled_from([1 << 12, 1 << 13]),
+        counter=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(nq=2, na=17, replays=2, j=2, edge=-1, short=0, chunk=1 << 12, counter=False, seed=0)
+    @example(nq=4, na=17, replays=1, j=1, edge=1, short=1, chunk=1 << 13, counter=True, seed=1)
+    @example(nq=3, na=17, replays=3, j=3, edge=0, short=0, chunk=1 << 12, counter=False, seed=2)
+    @example(nq=1, na=1, replays=2, j=1, edge=0, short=0, chunk=1 << 12, counter=False, seed=3)
+    @example(nq=5, na=1, replays=1, j=2, edge=1, short=0, chunk=1 << 12, counter=True, seed=4)
+    @example(nq=LIMIT, na=2, replays=2, j=1, edge=-1, short=3, chunk=1 << 12, counter=True, seed=5)
+    @example(
+        nq=LIMIT + 1, na=2, replays=1, j=2, edge=1, short=0, chunk=1 << 13, counter=False, seed=6
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_naive(self, nq, na, replays, j, edge, short, chunk, counter, seed):
+        # The stride depends on n, so n is fixed in two rounds: from the
+        # stride of a guess, then from the stride of the first answer.
+        n = replays * chunk
+        for _ in range(2):
+            k = _kernels._stride(n, nq, na)
+            per = max(1, chunk // k)
+            blocking = _kernels._blocking(per, nq)
+            last = j * blocking + edge
+            n = max(0, (replays * per + last) * k - short % k)
+        assume(_kernels._stride(n, nq, na) == k and last > 0)
+        assert nq > self.LIMIT or blocking > 1
+        rng = np.random.default_rng(seed)
+        if counter:
+            next_state = (np.arange(nq)[:, None] + np.arange(na)) % nq
+        else:
+            next_state = rng.integers(0, nq, (nq, na))
+        next_state = next_state.astype(np.int32)
+        emissions = [
+            [rng.integers(0, 3, rng.integers(0, 3)).tolist() for a in range(na)]
+            for q in range(nq)
+        ]
+        initial = int(rng.integers(1, nq)) if nq > 1 else 0
+        inp = rng.integers(0, na, n).astype(np.uint8)
+        want_states, want_keys, want_out, _ = naive_transducer_run(
+            next_state, emissions, initial, inp
+        )
+        table = EmissionTable([word for row in emissions for word in row])
+        with patch.object(_kernels, "_CHUNK", chunk):
+            states, keys, out = _kernels.mealy_run(next_state, table, initial, inp)
+        assert np.array_equal(states, want_states)
+        assert np.array_equal(keys, want_keys)
+        assert np.array_equal(out, want_out)
+
+
 class TestMealyStream:
     def test_identity_on_omega(self, family):
         out = run_mealy_stream(identity_machine(), family.source())
@@ -445,6 +512,31 @@ class TestTransducer:
             for q, a in zip(trace.states[:-1], w.data)
         )
         assert len(trace.output) == total
+
+
+    def test_emissions_mix_words_and_labels(self, ab):
+        t = Transducer(
+            BINARY, ab, ["q", "r"], "q",
+            {
+                ("q", "0"): ("r", ab.word("ab")), ("q", "1"): ("q", ["b"]),
+                ("r", "0"): ("q", []), ("r", "1"): ("r", ab.word("")),
+            },
+        )
+        assert run_transducer(t, bword("0101")).output.to_text() == "abb"
+
+    @pytest.mark.parametrize(
+        "emission, message",
+        [
+            (["b", "c"], "symbol 'c' at position 1 is not in alphabet a b"),
+            (bword("0"), "over wrong alphabet"),
+        ],
+    )
+    def test_emission_off_the_output_alphabet(self, ab, emission, message):
+        with pytest.raises(AlphabetError, match=message):
+            Transducer(
+                BINARY, ab, ["q"], "q",
+                {("q", "0"): ("q", ["a"]), ("q", "1"): ("q", emission)},
+            )
 
 
 class TestHomomorphism:

@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -65,6 +68,23 @@ class TestMorphic:
         rules = Homomorphism(ab, BINARY, {"a": "01", "b": "0"})
         with pytest.raises(ValueError):
             morphic_source(rules, "a")
+
+    def test_prefix_retains_only_its_symbols(self):
+        # Thue-Morse doubles its word per expansion, so 2^20 + 1 symbols
+        # come from an expansion of 2^21; the source keeps the 2^20 + 1.
+        n = 2**20 + 1
+        tracemalloc.start()
+        try:
+            src = thue_morse_source()
+            word = src.prefix(n)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert src.materialized == n == len(word)
+        assert retained < 1.25 * n
+        # Symbol i of Thue-Morse is the parity of i's binary digits.
+        assert word.data[-9:].tolist() == [bin(i).count("1") % 2 for i in range(n - 9, n)]
 
 
 class TestMemoization:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -290,6 +292,43 @@ class TestEmissionTable:
         assert table.lengths.tolist() == [w.shape[0] for w in words]
         for k, w in enumerate(words):
             assert np.array_equal(table[k], w)
+
+    @pytest.mark.parametrize("width", range(10))
+    @pytest.mark.parametrize("uniform", [True, False])
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.intp])
+    def test_expand_at_every_width(self, width, uniform, dtype):
+        # Rows of 1, 2, 4 and 8 bytes gather as native integers, and rows
+        # with padding are padded up to those widths.
+        rng = np.random.default_rng(width)
+        lengths = [width] * 4 if uniform else [0, width, *rng.integers(0, width + 1, 4)]
+        words = [rng.integers(0, 256, m).astype(np.uint8) for m in lengths]
+        keys = rng.integers(0, len(words), 1000).astype(dtype)
+        table = EmissionTable(words)
+        out = table.expand(keys)
+        assert out.dtype == np.uint8
+        assert np.array_equal(
+            out, np.concatenate([np.empty(0, np.uint8), *(words[k] for k in keys)])
+        )
+        # A uniform table has no padding to select away.
+        assert (table._cells is None) == (uniform or width == 0)
+
+    def test_expand_builds_no_index_per_cell(self):
+        # A width-3 transducer table: rows and mask gather at 4 bytes a key
+        # each, and the output is 1.5 bytes a key.  An intp index of the
+        # kept cells (np.compress) would add 12 bytes a key, an intp copy of
+        # int32 keys (take) 8.
+        rng = np.random.default_rng(0)
+        words = [rng.integers(0, 2, m).astype(np.uint8) for m in (0, 0, 1, 1, 2, 2, 3, 3)]
+        table = EmissionTable(words)
+        keys = rng.integers(0, len(words), 200_000).astype(np.int32)
+        tracemalloc.start()
+        try:
+            out = table.expand(keys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.size == table.lengths[keys].sum()
+        assert peak < 11 * keys.size
 
 
 class TestConcat:
