@@ -93,7 +93,7 @@ def min_window_from_starts(starts: np.ndarray, text_length: int, pattern_length:
         return None
     head = int(starts[0]) + pattern_length
     tail = text_length - int(starts[-1])
-    gap = int(np.diff(starts).max()) + pattern_length - 1 if starts.size > 1 else 0
+    gap = int((starts[1:] - starts[:-1]).max()) + pattern_length - 1 if starts.size > 1 else 0
     return max(pattern_length, head, tail, gap)
 
 
@@ -310,9 +310,13 @@ def _packed_shift(half: int, sigma: int) -> int:
     """Bits that hold a window start in the int64 sort values
     ``key << shift | start`` of ``recurrence_stability``.
 
-    A key is below half * |A| (ranks count from 0, and the first half has
-    at most half windows), a start below 2^shift with shift =
-    half.bit_length() <= ceil(log2(half + 1)), so a value is below
+    A key is its window's base-|A| value until the next length's values
+    could pass 2^63; the keys are then re-ranked densely from 0, and the
+    next length's keys are below half * |A| (ranks count from 0, and the
+    first half has at most half windows).  So the values fit int64 at
+    every length when they fit for keys below half * |A|, the bound
+    checked here.  A start is below 2^shift with shift =
+    half.bit_length() <= ceil(log2(half + 1)), so such a value is below
     half * |A| * 2^shift <= 2 * half^2 * |A|.  With |A| <= 256 that fits
     int64 for words below about 2.6 * 10^8 symbols, above the
     materialization budget; a ``--word-file`` is not budgeted, so a word
@@ -340,7 +344,11 @@ def recurrence_stability(
 
     The factors are listed by one sort of window keys per length L over
     the first half, the refinement step of Karp, Miller and Rosenberg
-    (STOC 1972).  Each run of equal keys in sorted order is one factor and
+    (STOC 1972).  A window's key is its base-|A| value, one multiply-add
+    from its key at length L - 1; only when the next length's keys could
+    overflow int64 are they replaced by their dense ranks in sorted order
+    (a binary word of 10^5 symbols first needs that after L = 47).  Each
+    run of equal keys in sorted order is one factor and
     holds that factor's first-half starts in ascending order, so the sort
     gives every factor's first-half count and minimal window.  The other
     starts come from one scan per factor of the second half only, the text
@@ -363,10 +371,14 @@ def recurrence_stability(
         unlisted.setdefault(r.data.tobytes(), r.data)
     sigma = len(alphabet)
     shift = _packed_shift(half, sigma)
-    # The key of the window at i is the dense rank (from 0) of its first
-    # L-1 symbols times |A| plus its last symbol, so equal keys mean equal
-    # windows.  Sorting key << shift | i orders equal keys by start.
-    rank = np.zeros(half, np.int32 if (half + 1) * sigma < 2**31 else np.int64)
+    # The key of the window at i is the base-|A| value of its symbols,
+    # below top = |A|^L, so equal keys mean equal windows and the keys sort
+    # as the windows do.  Sorting key << shift | i orders equal keys by
+    # start.  When the next length's values could pass 2^63, this length's
+    # keys become their dense ranks (from 0) in sorted order and top the
+    # number of ranks; the next symbols then extend the ranks in base |A|.
+    key = np.zeros(half, np.int64)
+    top = 1
     index = np.arange(half, dtype=np.int64)
     packed, starts, gaps = (np.empty(half, np.int64) for _ in range(3))
     head = np.empty(half, bool)
@@ -375,9 +387,10 @@ def recurrence_stability(
     for length in range(1, min(k, half) + 1):
         m = half - length + 1
         p, s, g, h = packed[:m], starts[:m], gaps[:m], head[:m]
-        np.multiply(rank[:m], sigma, out=p, dtype=np.int64)
-        p += data[length - 1 : half]
-        p <<= shift
+        key[:m] *= sigma
+        key[:m] += data[length - 1 : half]
+        top *= sigma
+        np.left_shift(key[:m], shift, out=p)
         p |= index[:m]
         p.sort()
         np.right_shift(p, shift, out=g)
@@ -392,9 +405,11 @@ def recurrence_stability(
         np.copyto(g, 0, where=h)
         first, last, gap = s[runs], s[ends - 1], np.maximum.reduceat(g, runs)
         in_half = np.maximum(np.maximum(first + length, half - last), gap + length - 1)
-        h[0] = False
-        np.cumsum(h, out=g)
-        rank[s] = g
+        if (top * sigma) << shift > 1 << 63:
+            h[0] = False
+            np.cumsum(h, out=g)
+            key[s] = g
+            top = runs.size
         offset = half - length + 1
         text, text_codes = data[offset:], codes[offset:]
         for start, last_i, gap_i, count, window in zip(
@@ -411,7 +426,7 @@ def recurrence_stability(
             if later.size:
                 gap_i = max(gap_i, int(later[0]) + offset - last_i)
                 if later.size > 1:
-                    gap_i = max(gap_i, int(np.diff(later).max()))
+                    gap_i = max(gap_i, int((later[1:] - later[:-1]).max()))
                 last_i = int(later[-1]) + offset
             entries.append(
                 StabilityEntry(

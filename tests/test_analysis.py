@@ -436,6 +436,11 @@ WORD_CASES = st.one_of(
 )
 
 
+def base_digits(value, base, length):
+    """The `length` base-`base` digits of value, most significant first."""
+    return [value // base**i % base for i in reversed(range(length))]
+
+
 @st.composite
 def stability_cases(draw):
     """(labels, word, required factors, cuts): unary, periodic (after a
@@ -458,6 +463,15 @@ class TestStabilityOracle:
     @example(case=(FIVE, "eabcdeabcde", ["e", "ea"], [0, 1]), k=3)  # 4 bits
     @example(case=(SEVENTEEN, "qaqbqaqbqaq", ["qa", "c"], [0, 2]), k=3)  # 8 bits
     @example(case=(SEVENTEEN, "abababab", ["q", "abq"], [0, 1]), k=2)  # wider required
+    @example(  # re-ranked after length 14; unranked, the key 2^59 << 5 would wrap to 0
+        case=(
+            SEVENTEEN,
+            "".join(SEVENTEEN[d] for d in base_digits(2**59, 17, 15)) + "a" * 45,
+            ["ma"],
+            [0, 1, 6],
+        ),
+        k=20,
+    )
     @settings(max_examples=150, deadline=None)
     def test_matches_definition(self, case, k):
         labels, text, required, cuts = case
@@ -502,13 +516,26 @@ class TestStabilityFromSort:
         "kind, w", shift_edge_words(), ids=lambda v: v if isinstance(v, str) else len(v)
     )
     def test_shift_edges(self, kind, w):
-        assert report_rows(w, 5) == naive_stability(w, 5)
+        # At half lengths 63-65 the keys of two-letter words are re-ranked
+        # after length 56 or 57, of "abc" words after 35; unary ones never.
+        for k in (5, 64) if len(w) // 2 <= 65 else (5,):
+            assert report_rows(w, k) == naive_stability(w, k)
+
+    @pytest.mark.parametrize("k", [55, 56, 57, 58])
+    @pytest.mark.parametrize("text", ["a" * 128, "b" + "a" * 127], ids=["unary", "b-unary"])
+    def test_rerank_boundary(self, text, k):
+        # Half 64, shift 7: keys below 2^L fit length L + 1 while
+        # L + 1 + 7 <= 63, so they are re-ranked after length 56.  Unranked,
+        # the key 2^57 of "b" "a"^57 would wrap to 0, the key of "a"^58.
+        w = Alphabet("ab").word(text)
+        assert report_rows(w, k) == naive_stability(w, k)
 
     @given(
         data=st.lists(st.integers(0, 119), min_size=2, max_size=160),
-        k=st.integers(1, 4),
+        k=st.integers(1, 12),
     )
     @example(data=[7, 110, 119, 0] * 20, k=4)
+    @example(data=base_digits(2**59, 120, 9) + [0] * 41, k=12)  # 2^59 << 5 wraps to 0
     @settings(max_examples=40, deadline=None)
     def test_alphabet_of_120_labels(self, data, k):
         alphabet = Alphabet([f"s{i}" for i in range(120)])
