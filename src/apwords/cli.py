@@ -42,6 +42,7 @@ from .words import (
     Alphabet,
     FiniteWord,
     _encode,
+    _gather,
     _lookup,
     occurrences,
     parse_word,
@@ -85,7 +86,7 @@ def _relabel(word: FiniteWord, alphabet: Alphabet) -> FiniteWord:
     """``word`` mapped label by label onto ``alphabet``: one gather through
     the indices of the word's labels in ``alphabet``, reporting the first
     symbol that ``alphabet`` lacks and its position."""
-    codes = _lookup(alphabet, word.alphabet.labels)[word.data]
+    codes = _gather(_lookup(alphabet, word.alphabet.labels), word.data)
     return FiniteWord._wrap(alphabet, _encode(alphabet, word, codes))
 
 

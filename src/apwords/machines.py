@@ -17,7 +17,7 @@ import numpy as np
 from . import _kernels
 from .errors import AlphabetError, BudgetError, FormatError
 from .sources import InfiniteWordSource
-from .words import Alphabet, EmissionTable, FiniteWord, _encode, _lookup
+from .words import Alphabet, EmissionTable, FiniteWord, _encode, _gather, _lookup
 
 INFINITE_EVIDENT = "infinite-evident"
 FINITE_SO_FAR = "finite-so-far"
@@ -202,7 +202,7 @@ def run_transducer(machine: Transducer, word: FiniteWord) -> RunTrace:
     states, keys, out = _run(machine, word.data)
     lengths = machine._emit.lengths
     if np.ptp(lengths):
-        step_lengths = lengths.astype(np.min_scalar_type(lengths.max()))[keys]
+        step_lengths = _gather(lengths.astype(np.min_scalar_type(lengths.max())), keys)
     else:
         step_lengths = np.broadcast_to(lengths[0], keys.shape)
     return RunTrace(
@@ -328,7 +328,7 @@ def output_infinite_check(h: Homomorphism, source: InfiniteWordSource, budget: i
     if np.all(lengths > 0):
         return INFINITE_EVIDENT
     data = source.prefix_array(budget)
-    emitting = lengths[data] > 0
+    emitting = _gather(lengths > 0, data)
     half = budget // 2
     for s in np.unique(data[emitting]):
         pos = np.nonzero(data == s)[0]

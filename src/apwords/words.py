@@ -32,21 +32,24 @@ class EmissionTable:
     The words are kept as rows of a zero-padded ``(keys, width)`` uint8
     table, ``width`` the longest word's length, plus a mask of the valid
     cells.  Each row, and each row of the mask, is also viewed as one
-    fixed-width item, so that ``expand`` is one 1-D gather of whole rows,
-    then one boolean selection of the valid cells.  Rows of 1, 2, 4 or 8
-    bytes are viewed as native unsigned integers, which numpy gathers
-    several times faster than ``np.void`` items: a table with padding pads
-    its rows to the next of those widths, up to 8.  A uniform table, whose
-    words all have one length (Mealy machines, uniform morphisms such as
-    Thue–Morse), has no padding and skips the selection; a table of empty
-    words expands to nothing.
+    fixed-width item, so that ``expand`` gathers whole rows.  Rows of 1, 2,
+    4 or 8 bytes are viewed as native unsigned integers, which numpy
+    gathers several times faster than ``np.void`` items: a table with
+    padding pads its rows to the next of those widths, up to 8.  A uniform
+    table, whose words all have one length (Mealy machines, uniform
+    morphisms such as Thue–Morse), has no padding and gathers its rows
+    straight into the output; a table of empty words expands to nothing.
     """
 
-    __slots__ = ("lengths", "_padded", "_rows", "_cells", "_block")
+    __slots__ = ("lengths", "_padded", "_rows", "_cells")
 
-    # Cells gathered per block: bounds the temporary of ``expand`` when
-    # one emission is long.
-    BLOCK_CELLS = 1 << 20
+    # Cells gathered per block of keys: bounds a block's temporaries so that
+    # they stay in cache (its rows and mask, 64 KB each; its intp keys and
+    # np.compress's 8-byte index of the kept cells, up to 0.5 MB each).
+    # Swept over 2^14..2^20 with 300k int32 keys (2 vCPU, numpy 2.4.6):
+    # 2^14 was up to 20% slower, 2^16..2^20 within 10% of each other at
+    # widths 1-40.
+    BLOCK_CELLS = 1 << 16
 
     def __init__(self, words):
         words = [np.asarray(w, np.uint8).reshape(-1) for w in words]
@@ -77,26 +80,61 @@ class EmissionTable:
         )
         self._rows = padded.view(item).ravel() if width else None
         self._cells = None if uniform else mask.view(item).ravel()
-        self._block = max(1, self.BLOCK_CELLS // max(width, 1))
 
     def __getitem__(self, key: int) -> np.ndarray:
         """The word stored under ``key`` (a read-only view)."""
         return self._padded[key, : self.lengths[key]]
 
     def expand(self, keys: np.ndarray) -> np.ndarray:
-        """Concatenation of the words stored under ``keys``, in order."""
+        """Concatenation of the words stored under ``keys``, in order.
+
+        One loop over blocks of ``BLOCK_CELLS`` cells: each block's keys
+        are cast to intp (numpy gathers by narrower keys through a buffered
+        cast), its rows and mask rows are gathered with ``take``, and its
+        valid cells are selected.  A uniform table writes its rows straight
+        into the output (``_gather``).  Native rows select with
+        ``np.compress``, whose intp index of the kept cells stays within the
+        block; ``np.void`` rows (over 8 bytes) keep the boolean selection,
+        which is faster there.
+        """
         if self._rows is None:
             return np.empty(0, np.uint8)
         keys = np.asarray(keys)
-        n, step = keys.shape[0], self._block
-        if n > step:
-            return np.concatenate(
-                [self.expand(keys[i : i + step]) for i in range(0, n, step)]
-            )
-        out = self._rows[keys].view(np.uint8)
-        if self._cells is not None:
-            out = out[self._cells[keys].view(bool)]
-        return out
+        if self._cells is None:
+            return _gather(self._rows, keys).view(np.uint8)
+        rows, cells = self._rows, self._cells
+        native = rows.dtype.kind == "u"
+        step = max(1, self.BLOCK_CELLS // rows.itemsize)
+        parts = []
+        # No keys still make one (empty) block.
+        for a in range(0, keys.shape[0] or 1, step):
+            idx = keys[a : a + step].astype(np.intp, copy=False)
+            out, valid = rows.take(idx).view(np.uint8), cells.take(idx).view(bool)
+            parts.append(np.compress(valid, out) if native else out[valid])
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _gather(table: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """``table[keys]`` for a 1-D ``table``, gathered one block of
+    ``EmissionTable.BLOCK_CELLS`` bytes of output at a time.
+
+    numpy gathers by keys narrower than intp through a slow buffered cast,
+    and an unblocked ``take`` first copies every key to 8 bytes.  So each
+    block's keys are cast on their own and gathered straight into the
+    output.  That ``take`` clips instead of checking bounds, since a checked
+    ``take`` into ``out`` copies the output block twice; every caller's
+    keys index ``table`` by construction.  Keys that are intp already, or
+    that fit in one block, take one checked gather.
+    """
+    n = keys.shape[0]
+    if n * table.itemsize <= EmissionTable.BLOCK_CELLS or keys.dtype == np.intp:
+        return table.take(keys)
+    step = max(1, EmissionTable.BLOCK_CELLS // table.itemsize)
+    out = np.empty(n, table.dtype)
+    for a in range(0, n, step):
+        idx = keys[a : a + step].astype(np.intp)
+        table.take(idx, out=out[a : a + step], mode="clip")
+    return out
 
 
 def spaced_tokens(labels: Iterable[str]) -> EmissionTable:

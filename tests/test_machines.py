@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 from unittest.mock import patch
 
 import numpy as np
@@ -259,6 +260,33 @@ class TestTransducerKernel:
         assert np.array_equal(trace.output.data, want_out)
         assert np.array_equal(trace.step_lengths, want_lengths)
         assert trace.consumed == n
+
+    def test_run_makes_no_intp_copy_of_its_keys(self):
+        # A width-3 transducer over 10^6 symbols: the run holds int32 states
+        # and keys (8 bytes a symbol), its output (1.67 bytes a symbol), the
+        # output's blocks until they are joined, and one byte of step length
+        # a symbol; about 11.7 bytes a symbol in all.  An intp copy of the
+        # keys, for the emissions or the step lengths, would add 8.
+        inp, out = BINARY, Alphabet("ab")
+        transitions = {
+            ("p", "0"): ("q", []),
+            ("p", "1"): ("r", ["a"]),
+            ("q", "0"): ("r", ["a", "b"]),
+            ("q", "1"): ("p", ["b", "a", "b"]),
+            ("r", "0"): ("p", ["b"]),
+            ("r", "1"): ("q", ["a", "a", "b"]),
+        }
+        machine = Transducer(inp, out, ["p", "q", "r"], "p", transitions)
+        n = 10**6
+        word = FiniteWord(inp, np.random.default_rng(0).integers(0, 2, n))
+        tracemalloc.start()
+        try:
+            trace = run_transducer(machine, word)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trace.step_lengths.sum() == len(trace.output)
+        assert peak < 14 * n
 
 
 class TestRunStrides:

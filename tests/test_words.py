@@ -312,6 +312,32 @@ class TestEmissionTable:
         # A uniform table has no padding to select away.
         assert (table._cells is None) == (uniform or width == 0)
 
+    @pytest.mark.parametrize("width", range(17))
+    @pytest.mark.parametrize("uniform", [True, False])
+    def test_expand_across_block_edges(self, monkeypatch, width, uniform):
+        # Blocks of a few keys: rows of 1, 2, 4 and 8 bytes gather as
+        # native integers and rows of 9-16 bytes as np.void items; the
+        # padded tables hold empty words.  Key counts fall on either side
+        # of the first three block edges.
+        monkeypatch.setattr(EmissionTable, "BLOCK_CELLS", 48)
+        rng = np.random.default_rng(width)
+        lengths = [width] * 5 if uniform else [0, width, 0, *rng.integers(0, width + 1, 3)]
+        words = [rng.integers(0, 256, m).astype(np.uint8) for m in lengths]
+        table = EmissionTable(words)
+        block = 48 // table._rows.itemsize if width else 1
+        for n in [j * block + d for j in (1, 2, 3) for d in (-1, 0, 1)]:
+            picks = rng.integers(0, len(words), n)
+            want = np.concatenate([np.empty(0, np.uint8), *(words[k] for k in picks)])
+            keys = [picks.astype(dtype) for dtype in (np.uint8, np.uint16, np.int32, np.intp)]
+            for dtype in (np.int32, np.intp):
+                spread = np.zeros(2 * n, dtype)
+                spread[::2] = picks
+                keys.append(spread[::2])  # a strided view
+            for k in keys:
+                out = table.expand(k)
+                assert out.dtype == np.uint8
+                assert np.array_equal(out, want), (n, k.dtype, k.strides)
+
     def test_expand_builds_no_index_per_cell(self):
         # A width-3 transducer table: rows and mask gather at 4 bytes a key
         # each, and the output is 1.5 bytes a key.  An intp index of the
