@@ -95,7 +95,8 @@ class EmissionTable:
         into the output (``_gather``).  Native rows select with
         ``np.compress``, whose intp index of the kept cells stays within the
         block; ``np.void`` rows (over 8 bytes) keep the boolean selection,
-        which is faster there.
+        which is faster there.  Keys are not checked: like ``_gather``, each
+        ``take`` clips, and every caller's keys index the table.
         """
         if self._rows is None:
             return np.empty(0, np.uint8)
@@ -109,7 +110,8 @@ class EmissionTable:
         # No keys still make one (empty) block.
         for a in range(0, keys.shape[0] or 1, step):
             idx = keys[a : a + step].astype(np.intp, copy=False)
-            out, valid = rows.take(idx).view(np.uint8), cells.take(idx).view(bool)
+            out = rows.take(idx, mode="clip").view(np.uint8)
+            valid = cells.take(idx, mode="clip").view(bool)
             parts.append(np.compress(valid, out) if native else out[valid])
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
@@ -121,14 +123,19 @@ def _gather(table: np.ndarray, keys: np.ndarray) -> np.ndarray:
     numpy gathers by keys narrower than intp through a slow buffered cast,
     and an unblocked ``take`` first copies every key to 8 bytes.  So each
     block's keys are cast on their own and gathered straight into the
-    output.  That ``take`` clips instead of checking bounds, since a checked
-    ``take`` into ``out`` copies the output block twice; every caller's
-    keys index ``table`` by construction.  Keys that are intp already, or
-    that fit in one block, take one checked gather.
+    output.  Keys that are intp already, or that fit in one block, take one
+    unblocked gather: it needs no output buffer and no per-block calls,
+    which saves about 1.2 µs a call (a uniform ``expand`` by uint8 or int32
+    keys, widths 1-40, 1.24-1.46 times faster at 10^3 keys, 1.02-1.07 at
+    1.6·10^4 to 6·10^4; 2 vCPU, numpy 2.4.6).
+
+    Every gather here clips instead of checking bounds, whatever the keys'
+    count or type, since a checked ``take`` into ``out`` copies the output
+    block twice; every caller's keys index ``table`` by construction.
     """
     n = keys.shape[0]
     if n * table.itemsize <= EmissionTable.BLOCK_CELLS or keys.dtype == np.intp:
-        return table.take(keys)
+        return table.take(keys, mode="clip")
     step = max(1, EmissionTable.BLOCK_CELLS // table.itemsize)
     out = np.empty(n, table.dtype)
     for a in range(0, n, step):
