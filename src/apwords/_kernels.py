@@ -7,7 +7,8 @@ One implementation per kernel:
   bits each, so one aligned byte compare checks up to eight symbols at
   every position.  A long text is scanned one stretch of ``_CHUNK``
   starts at a time, its codes packed (or sliced from given codes) and
-  filtered while they are in cache, and
+  filtered while they are in cache; ``_stretches`` yields each stretch's
+  starts, for callers that fold them, and
 * ``mealy_run``, the one run of every machine, Mealy or transducer.  It
   computes the states visited by a k-step table walk, for any number of
   states and labels: the chunked run of Mytkowicz, Musuvathi and Schulte
@@ -124,7 +125,48 @@ def _pattern_codes(pattern, bits, offsets):
 
 def find_occurrences(text, pattern, packed=None):
     """All (overlapping) occurrence starts of a nonempty ``pattern`` in
-    ``text``, ascending, as int64.
+    ``text``, ascending, as int64: the concatenation of ``_stretches``,
+    whose arguments it takes.  A text of one stretch returns that
+    stretch's starts as they are, with no copy.  Callers that reduce the
+    starts (a count, a gap, a first or last start) fold over
+    ``_stretches`` instead, so that no array of all the starts is built.
+    """
+    parts = list(_stretches(text, pattern, packed)) or [np.empty(0, np.int64)]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _check_order(count):
+    """The order in which a start is checked against a pattern's ``count``
+    >= 3 codes: the first, the last, then midpoints by halving (0, 4, 2,
+    1, 3 for five); one or two codes keep their order.  A start that
+    matches a recurring factor the pattern only resembles tends to match
+    it at the near end, so the far end rejects it early (Horspool's rule,
+    Software: Practice & Experience, 1980).
+
+    For c_4 (6250 symbols, 782 codes) in the family's first 1.5 * 10^6
+    symbols, the stretch that holds its 2 hits gathered 87 569 candidates
+    front to back with the 1/8 mask, 18 776 in this order and 5 683 with
+    the 1/64 mask as well; the next stretch, with no hit, took 234, 11 and
+    10 gathers.  Over the scanning ops of the benchmark's seed-1 `scan`
+    workload (each op alternated 7 times, medians summed; 2 vCPU, numpy
+    2.4), front to back with the 1/8 mask took 356 ms, this order 327,
+    the 1/64 mask 333, and both 310.
+    """
+    order, spans = [0, count - 1], [(0, count - 1)]
+    # spans grows while it is read: each split appends its two halves.
+    for lo, hi in spans:
+        if hi - lo > 1:
+            mid = (lo + hi) // 2
+            order.append(mid)
+            spans += [(lo, mid), (mid, hi)]
+    return order
+
+
+def _stretches(text, pattern, packed=None):
+    """The occurrence starts of a nonempty ``pattern`` in ``text``, one
+    ascending int64 array per stretch of the scan, in order; nothing when
+    ``pattern`` is longer than ``text`` or holds a symbol wider than the
+    codes.
 
     ``packed`` are the codes of ``text`` from ``pack``, or of a word that
     ``text`` is a slice of, sliced at the same start; without them the
@@ -145,14 +187,15 @@ def find_occurrences(text, pattern, packed=None):
     worst case is O(n * ceil(m/s)) compares: 0^1000 in 0^(10^6), where
     every start matches, takes 25-50 ms at s = 8, and 17^1000 in
     17^(10^6), at s = 1, 0.22-0.24 s (the packing included; all figures
-    2 vCPU, numpy 2.4).  A pattern symbol wider than the codes' b bits
+    2 vCPU, numpy 2.4).  The codes are checked in ``_check_order``,
+    computed once per call.  A pattern symbol wider than the codes' b bits
     occurs nowhere.
     """
     pattern = np.ascontiguousarray(pattern, np.uint8)
     n = len(text)
     m = pattern.shape[0]
     if m > n:
-        return np.empty(0, np.int64)
+        return
     if packed is None:
         bits = _width(int(np.maximum.reduce(text)))
     else:
@@ -162,16 +205,13 @@ def find_occurrences(text, pattern, packed=None):
     offsets = [*range(0, m - per, per), max(m - per, 0)]
     p = _pattern_codes(pattern, bits, offsets)
     if p is None:
-        return np.empty(0, np.int64)
+        return
+    if len(offsets) > 2:
+        order = _check_order(len(offsets))
+        offsets, p = [offsets[i] for i in order], [p[i] for i in order]
     span = n - m + 1
     step = max(_CHUNK, m)
     low = (1 << (bits * m)) - 1 if m < per else None
-    if span <= step:
-        # One stretch: its starts as they are, with no offset or copy.
-        if packed is None:
-            codes = pack(text, bits).view(np.ndarray)
-        return _stretch_starts(codes, span, p, offsets, low)
-    parts = []
     for a in range(0, span, step):
         size = min(step, span - a)
         stop = a + size + m - 1
@@ -180,17 +220,17 @@ def find_occurrences(text, pattern, packed=None):
         else:
             part = codes[a:stop]
         starts = _stretch_starts(part, size, p, offsets, low)
-        starts += a
-        parts.append(starts)
-    return np.concatenate(parts)
+        if a:
+            starts += a
+        yield starts
 
 
 def _stretch_starts(codes, size, p, offsets, low):
     """The starts in [0, size) of the pattern whose codes at ``offsets`` are
-    ``p``, ascending, as int64, read from the codes of one stretch;
-    ``low`` masks the codes of a pattern shorter than one code, and is
-    None for a longer one.  Outputs are passed positionally: out= as a
-    keyword costs about 0.5 us a call, which short texts feel."""
+    ``p``, checked in that order, ascending, as int64, read from the codes
+    of one stretch; ``low`` masks the codes of a pattern shorter than one
+    code, and is None for a longer one.  Outputs are passed positionally:
+    out= as a keyword costs about 0.5 us a call, which short texts feel."""
     if low is not None:
         hit = codes[:size] & low
         found = hit.view(bool)
@@ -198,10 +238,14 @@ def _stretch_starts(codes, size, p, offsets, low):
         return found.nonzero()[0].astype(np.int64, copy=False)
     hit = codes[:size] == p[0]
     # A mask over the stretch costs the same however few starts survive, a
-    # gather costs several times more per start: mask while more than 1/8
+    # gather costs several times more per start: mask while more than 1/64
     # of the starts survive, then filter the survivors as an index array.
+    # Over the 27 scanning ops of the benchmark's seed-2 `scan` workload
+    # (in process, median of 9 rounds, summed; 2 vCPU, numpy 2.4), 1/8,
+    # 1/16, 1/32, 1/64, 1/128 and 1/256 took 380, 365, 327, 323, 347 and
+    # 429 ms.
     k = 1
-    while k < len(offsets) and 8 * np.count_nonzero(hit) > size:
+    while k < len(offsets) and 64 * np.count_nonzero(hit) > size:
         j = offsets[k]
         np.bitwise_and(hit, codes[j : j + size] == p[k], hit)
         k += 1

@@ -15,7 +15,7 @@ import numpy as np
 from . import _kernels
 from .errors import AlphabetError, BudgetError, EmptyPatternError, InsufficientDataError
 from .generators import CounterexampleFamily
-from .words import FiniteWord, occurrences
+from .words import FiniteWord, _check_pattern
 
 MAX_FACTOR_LENGTH = 64
 MAX_VERIFY_LEVEL = 4
@@ -81,32 +81,71 @@ class StabilityReport:
         return "\n".join(rows) + "\n"
 
 
-def min_window_from_starts(starts: np.ndarray, text_length: int, pattern_length: int):
-    """Closed form of the minimal certifying window length.
+def _window(fold, text_length: int, pattern_length: int):
+    """Closed form of the minimal certifying window length, from the
+    (count, first, last, largest gap) of the occurrence starts (``_fold``).
 
     Over occurrence starts p_0 < ... < p_m the answer is
     max(p_0 + |x|, max_k (p_{k+1} - p_k) + |x| - 1, |w| - p_m), floored
     at |x|; the head and tail terms come from the windows pinned to the
-    prefix boundaries.
+    prefix boundaries.  None when there is no start.
     """
+    count, first, last, gap = fold
+    if not count:
+        return None
+    m = pattern_length
+    return max(m, first + m, text_length - last, gap + m - 1)
+
+
+def min_window_from_starts(starts: np.ndarray, text_length: int, pattern_length: int):
+    """The minimal certifying window length (``_window``) over ascending
+    occurrence starts; None when there are none."""
     if starts.size == 0:
         return None
-    head = int(starts[0]) + pattern_length
-    tail = text_length - int(starts[-1])
-    gap = int((starts[1:] - starts[:-1]).max()) + pattern_length - 1 if starts.size > 1 else 0
-    return max(pattern_length, head, tail, gap)
+    gap = int((starts[1:] - starts[:-1]).max()) if starts.size > 1 else 0
+    fold = (starts.size, int(starts[0]), int(starts[-1]), gap)
+    return _window(fold, text_length, pattern_length)
+
+
+def _fold(text: np.ndarray, pattern: np.ndarray, packed=None):
+    """(count, first start, last start, largest gap between consecutive
+    starts) of ``pattern`` in ``text``, folded over the scan's stretches
+    (``_kernels._stretches``, which takes the same arguments), so that no
+    array of all the starts is built: a stretch's starts are dropped once
+    folded.  (0, None, None, 0) when there is no start; the gap is 0 for
+    one start."""
+    count, first, last, gap = 0, None, None, 0
+    for starts in _kernels._stretches(text, pattern, packed):
+        if starts.size == 0:
+            continue
+        if first is None:
+            first = int(starts[0])
+        else:
+            gap = max(gap, int(starts[0]) - last)
+        if starts.size > 1:
+            gap = max(gap, int((starts[1:] - starts[:-1]).max()))
+        count += starts.size
+        last = int(starts[-1])
+    return count, first, last, gap
 
 
 def min_window(x: FiniteWord, w: FiniteWord) -> int | None:
     """Smallest l such that every length-l window of w fully contains an
-    occurrence of x; None when x does not occur in w."""
-    starts = occurrences(x, w)
-    return min_window_from_starts(starts, len(w), len(x))
+    occurrence of x; None when x does not occur in w.
+
+    The starts are folded stretch by stretch (``_fold``): the scan holds
+    one stretch's starts at a time, never all of them."""
+    _check_pattern(x, w)
+    return _window(_fold(w.data, x.data), len(w), len(x))
 
 
 def check_window(x: FiniteWord, w: FiniteWord, window_length: int) -> int | None:
     """None when every length-`window_length` window of w contains x;
-    otherwise the smallest violating window start."""
+    otherwise the smallest violating window start.
+
+    The scan runs stretch by stretch (``_kernels._stretches``) and stops at
+    the first stretch that shows a violation, so a word that fails early
+    is not scanned to its end."""
     if window_length < 1:
         raise ValueError(f"window length must be >= 1, got {window_length}")
     if window_length > len(w):
@@ -116,39 +155,42 @@ def check_window(x: FiniteWord, w: FiniteWord, window_length: int) -> int | None
         )
     if window_length < len(x):
         return 0
-    starts = occurrences(x, w)
-    if starts.size == 0:
-        return 0
+    _check_pattern(x, w)
     # Window [i, i+l-1] contains x iff some start p satisfies i <= p <= i+l-|x|.
     # The windows from prev+1 on (prev the previous start, -1 before the
     # first) are covered by the next start p only while i >= p - span, so
-    # the first uncovered one is prev+1 for the first gap p - prev > span+1:
-    # 0 when the first start is past span, else one past the start that
-    # opens the first wide gap.
+    # the first uncovered one is prev+1 for the first gap p - prev > span+1,
+    # and past the last start it is prev+1 when a window fits after it.
     span = window_length - len(x)
-    if starts[0] > span:
-        return 0
-    gap = np.diff(starts) > span + 1
-    if gap.any():
-        return int(starts[gap.argmax()]) + 1
-    if starts[-1] < len(w) - window_length:
-        return int(starts[-1]) + 1
+    prev = -1
+    for starts in _kernels._stretches(w.data, x.data):
+        if starts.size == 0:
+            continue
+        if starts[0] - prev > span + 1:
+            return prev + 1
+        wide = starts[1:] - starts[:-1] > span + 1
+        if wide.any():
+            return int(starts[wide.argmax()]) + 1
+        prev = int(starts[-1])
+    if prev < len(w) - window_length:
+        return prev + 1
     return None
 
 
 def rightmost_occurrence(x: FiniteWord, w: FiniteWord) -> int | None:
-    starts = occurrences(x, w)
-    return int(starts[-1]) if starts.size else None
+    _check_pattern(x, w)
+    return _fold(w.data, x.data)[2]
 
 
 def regulator_report(x: FiniteWord, w: FiniteWord) -> RegulatorReport:
-    starts = occurrences(x, w)
+    _check_pattern(x, w)
+    fold = _fold(w.data, x.data)
     return RegulatorReport(
         pattern=x,
         prefix_length=len(w),
-        occurrence_count=int(starts.size),
-        min_window=min_window_from_starts(starts, len(w), len(x)),
-        rightmost_start=int(starts[-1]) if starts.size else None,
+        occurrence_count=fold[0],
+        min_window=_window(fold, len(w), len(x)),
+        rightmost_start=fold[2],
     )
 
 
@@ -210,8 +252,8 @@ def verify_alignment_lemma(fam: CounterexampleFamily, m: int) -> bool:
 
 def _c_absent(fam: CounterexampleFamily, n: int, prefix: np.ndarray, codes=None) -> bool:
     """Whether c_n occurs in ``prefix`` only before block n+1 (``codes``: its packed codes)."""
-    starts = _kernels.find_occurrences(prefix, fam.c(n).data, codes)
-    return bool(starts.size == 0 or starts[-1] < fam.l_index(n + 1))
+    count, _, last, _ = _fold(prefix, fam.c(n).data, codes)
+    return count == 0 or last < fam.l_index(n + 1)
 
 
 def verify_cn_absent(fam: CounterexampleFamily, n: int, horizon: int) -> bool:
@@ -277,10 +319,7 @@ def verify_theorem1(
     for n in range(1, max_n + 1):
         a = fam.a_array(n)
         bound = min(5 * (5 ** (n + 2) - 1) // 2 + 2 * 5 ** (n + 2), horizon)
-        windows = [
-            min_window_from_starts(_kernels.find_occurrences(prefix, x, codes), horizon, a.size)
-            for x in (a, 1 - a)
-        ]
+        windows = [_window(_fold(prefix, x, codes), horizon, a.size) for x in (a, 1 - a)]
         checks += [
             LemmaCheck("pair-containment", n, verify_pair_containment(fam, n).ok),
             LemmaCheck("alignment", n, verify_alignment_lemma(fam, n)),

@@ -447,12 +447,18 @@ def segment(w, s: Segment) -> FiniteWord:
     return w.segment(s)
 
 
-def occurrences(x: FiniteWord, w: FiniteWord) -> np.ndarray:
-    """All start positions of x in w, strictly increasing, overlaps included."""
+def _check_pattern(x: FiniteWord, w: FiniteWord) -> None:
+    """Raise unless x is a nonempty pattern over w's alphabet: the checks of
+    every scan of x in w, whether it lists the starts or folds them."""
     if len(x) == 0:
         raise EmptyPatternError("occurrences of the empty word are not defined")
     if x.alphabet != w.alphabet:
         raise AlphabetError("pattern and word are over different alphabets")
+
+
+def occurrences(x: FiniteWord, w: FiniteWord) -> np.ndarray:
+    """All start positions of x in w, strictly increasing, overlaps included."""
+    _check_pattern(x, w)
     return _kernels.find_occurrences(w.data, x.data)
 
 

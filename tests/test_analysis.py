@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from apwords import (
+    BINARY,
     Alphabet,
     AlphabetError,
     BudgetError,
@@ -31,7 +33,16 @@ from apwords import (
 )
 from apwords import _kernels, cli
 from apwords.analysis import _packed_shift
-from conftest import bword, naive_cut_search, naive_stability
+from conftest import bword, naive_cut_search, naive_occurrences, naive_stability
+
+# Stretch lengths patched into ``_kernels._CHUNK``, so that scans of these
+# short words cross stretch edges (a pattern of m symbols makes stretches
+# of max(_CHUNK, m) starts).
+CHUNKS = st.sampled_from([1, 3, 8])
+
+
+def _chunked(chunk):
+    return mock.patch.object(_kernels, "_CHUNK", chunk)
 
 
 def oracle_min_window(x, w):
@@ -78,11 +89,35 @@ class TestMinWindow:
     @given(
         st.text(alphabet="01", min_size=1, max_size=24),
         st.text(alphabet="01", min_size=1, max_size=5),
+        CHUNKS,
     )
+    @example("0" * 5 + "1" + "0" * 5 + "1" * 5, "1", 8)  # a gap across the edge at 8
+    @example("0001100", "011", 3)  # the occurrence at 2 straddles the edge at 3
+    @example("0000100000", "1", 3)  # a single occurrence
+    @example("000000000", "11", 1)  # no occurrence
     @settings(max_examples=300)
-    def test_matches_oracle(self, wtext, xtext):
+    def test_matches_oracle(self, wtext, xtext, chunk):
         w, x = bword(wtext), bword(xtext)
-        assert min_window(x, w) == oracle_min_window(x, w)
+        with _chunked(chunk):
+            got = min_window(x, w)
+        assert got == oracle_min_window(x, w)
+
+    def test_holds_one_stretch_of_starts_at_a_time(self):
+        # 01 starts at every other position of (01)^(4C): 2C starts in 8
+        # stretches of C = _CHUNK starts.  Folded stretch by stretch, the
+        # peak stays below two stretches' worth of starts (8 bytes each),
+        # where a list of all the starts is 16C bytes.
+        chunk = _kernels._CHUNK
+        w = FiniteWord(BINARY, np.tile(np.array([0, 1], np.uint8), 4 * chunk))
+        x = bword("01")
+        tracemalloc.start()
+        try:
+            got = min_window(x, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == 3
+        assert peak < 2 * 8 * chunk
 
     def test_monotone_in_prefix_length(self):
         w = CounterexampleFamily().prefix(5000)
@@ -108,14 +143,16 @@ class TestCheckWindow:
         st.text(alphabet="01", min_size=2, max_size=24),
         st.text(alphabet="01", min_size=1, max_size=4),
         st.integers(min_value=1, max_value=24),
+        CHUNKS,
     )
     @settings(max_examples=300)
-    def test_equivalent_to_min_window(self, wtext, xtext, l):
+    def test_equivalent_to_min_window(self, wtext, xtext, l, chunk):
         w, x = bword(wtext), bword(xtext)
         if l > len(w):
             return
-        mw = min_window(x, w)
-        result = check_window(x, w, l)
+        with _chunked(chunk):
+            mw = min_window(x, w)
+            result = check_window(x, w, l)
         if mw is not None and l >= mw:
             assert result is None
         else:
@@ -128,18 +165,38 @@ class TestCheckWindow:
         wtext=st.text(alphabet="01", min_size=1, max_size=40),
         xtext=st.text(alphabet="01", min_size=1, max_size=5),
         l=st.integers(min_value=1, max_value=40),
+        chunk=CHUNKS,
     )
-    @example(wtext="0" * 9 + "1" + "0" * 9, xtext="00", l=3)  # unary runs: 8
-    @example(wtext="0" * 20, xtext="000", l=3)  # unary, no violation
-    @example(wtext="0110" * 6, xtext="0110", l=6)  # periodic: 1
-    @example(wtext="0110" * 6, xtext="0110", l=7)  # periodic, no violation
-    @example(wtext="0110" * 6 + "1111", xtext="0110", l=7)  # periodic, tail: 21
-    @example(wtext="0101", xtext="11", l=2)  # x absent
+    @example(wtext="0" * 9 + "1" + "0" * 9, xtext="00", l=3, chunk=8)  # unary runs: 8
+    @example(wtext="0" * 20, xtext="000", l=3, chunk=8)  # unary, no violation
+    @example(wtext="0110" * 6, xtext="0110", l=6, chunk=3)  # periodic: 1
+    @example(wtext="0110" * 6, xtext="0110", l=7, chunk=3)  # periodic, no violation
+    @example(wtext="0110" * 6 + "1111", xtext="0110", l=7, chunk=8)  # periodic, tail: 21
+    @example(wtext="0101", xtext="11", l=2, chunk=1)  # x absent
+    # Stretch edges (stretches of max(chunk, |x|) starts): the first
+    # violation is the edge at 8, found from the gap across it; an
+    # occurrence at 2 straddles the edge at 3; a single occurrence; none.
+    @example(wtext="1" * 8 + "00" + "1" * 4, xtext="1", l=2, chunk=8)
+    @example(wtext="0001100", xtext="011", l=4, chunk=3)
+    @example(wtext="0000100000", xtext="1", l=3, chunk=3)
+    @example(wtext="000000000", xtext="11", l=2, chunk=1)
     @settings(max_examples=500)
-    def test_smallest_violating_start(self, wtext, xtext, l):
+    def test_smallest_violating_start(self, wtext, xtext, l, chunk):
         w, x = bword(wtext), bword(xtext)
         assume(l <= len(w))
-        assert check_window(x, w, l) == oracle_first_violation(x, w, l)
+        with _chunked(chunk):
+            got = check_window(x, w, l)
+        assert got == oracle_first_violation(x, w, l)
+
+    def test_stops_at_the_first_violating_stretch(self):
+        # The window at 3 misses x: the first of the 8 stretches shows it,
+        # and the scan stops there.
+        w = bword("111" + "00" + "1" * 59)
+        with _chunked(8), mock.patch.object(
+            _kernels, "_stretch_starts", wraps=_kernels._stretch_starts
+        ) as spy:
+            assert check_window(bword("1"), w, 2) == 3
+        assert spy.call_count == 1
 
 
 class TestRightmost:
@@ -149,6 +206,21 @@ class TestRightmost:
         assert rightmost_occurrence(z.word("z"), z.word("abc")) is None
         a = Alphabet("ab")
         assert rightmost_occurrence(a.word("aa"), a.word("aaaa")) == 2
+
+    @given(
+        st.text(alphabet="01", min_size=1, max_size=24),
+        st.text(alphabet="01", min_size=1, max_size=5),
+        CHUNKS,
+    )
+    @example("0001100", "011", 3)  # the occurrence at 2 straddles the edge at 3
+    @example("000000000", "11", 1)  # no occurrence
+    @settings(max_examples=200)
+    def test_matches_oracle(self, wtext, xtext, chunk):
+        w, x = bword(wtext), bword(xtext)
+        starts = naive_occurrences(x, w)
+        with _chunked(chunk):
+            got = rightmost_occurrence(x, w)
+        assert got == (starts[-1] if starts else None)
 
 
 class TestRegulatorReport:
@@ -167,6 +239,23 @@ class TestRegulatorReport:
         assert r.occurrence_count == 0
         assert r.min_window is None
         assert r.rightmost_start is None
+
+    @given(
+        st.text(alphabet="01", min_size=1, max_size=24),
+        st.text(alphabet="01", min_size=1, max_size=5),
+        CHUNKS,
+    )
+    @example("0" * 5 + "1" + "0" * 5 + "1" * 5, "1", 8)  # a gap across the edge at 8
+    @example("0000100000", "1", 3)  # a single occurrence
+    @settings(max_examples=200)
+    def test_matches_oracle(self, wtext, xtext, chunk):
+        w, x = bword(wtext), bword(xtext)
+        starts = naive_occurrences(x, w)
+        with _chunked(chunk):
+            r = regulator_report(x, w)
+        assert r.occurrence_count == len(starts)
+        assert r.min_window == oracle_min_window(x, w)
+        assert r.rightmost_start == (starts[-1] if starts else None)
 
 
 class TestLemmaChecks:

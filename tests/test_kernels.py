@@ -182,6 +182,8 @@ class TestFindOccurrences:
     @example((8, [0] * 16, 0, 16, [0] * 9))
     @example((8, [0] * 23 + [16], 0, 24, [0, 16]))
     @example((13, [1] + [0, 1] * 20 + [255], 1, 40, [0, 1] * 3))
+    # Three codes, the first two those of a recurring factor, the last not.
+    @example((13, [0, 1] * 20, 0, 40, [0, 1] * 8 + [1]))
     @settings(max_examples=300, deadline=None)
     def test_stretches_match_naive(self, case):
         # Scans of many short stretches: with and without the word's codes,
