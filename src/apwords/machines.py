@@ -7,8 +7,8 @@ afterwards; runs are pure functions of machine and input.
 
 from __future__ import annotations
 
-from collections import deque
-from itertools import chain
+from contextlib import suppress
+from itertools import chain, product
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -17,7 +17,7 @@ import numpy as np
 from . import _kernels
 from .errors import AlphabetError, BudgetError, FormatError
 from .sources import InfiniteWordSource
-from .words import Alphabet, EmissionTable, FiniteWord, _encode, _gather, _lookup
+from .words import Alphabet, EmissionTable, FiniteWord, _encode, _gather, _lookup, render_symbols
 
 INFINITE_EVIDENT = "infinite-evident"
 FINITE_SO_FAR = "finite-so-far"
@@ -65,11 +65,6 @@ class RunTrace:
         return hash(self._key())
 
 
-def _state_label(alphabet: Alphabet, indices) -> str:
-    sep = "" if alphabet.single_char else ","
-    return sep.join(map(alphabet.labels.__getitem__, indices))
-
-
 def _emissions(words, alphabet: Alphabet) -> EmissionTable:
     """The table of ``words``, each a FiniteWord or a sequence of labels
     over ``alphabet``.  The label sequences are encoded in one pass; the
@@ -94,6 +89,63 @@ def _emissions(words, alphabet: Alphabet) -> EmissionTable:
     return EmissionTable.from_cells(lengths, cells)
 
 
+def _one_symbol_table(codes: np.ndarray) -> EmissionTable:
+    """The table of one-symbol words, symbol ``codes[k]`` under key k: the
+    emissions of a Mealy machine."""
+    return EmissionTable.from_cells(np.ones(codes.shape[0], np.int64), codes)
+
+
+def _state_index(states, line=None) -> dict[str, int]:
+    """Each state label's index; a label given twice raises FormatError
+    naming the first one repeated (and ``line``, where the states are
+    declared)."""
+    index = dict(zip(states, range(len(states))))
+    if len(index) < len(states):
+        seen = set()
+        repeated = next(q for q in states if q in seen or seen.add(q))
+        raise FormatError(f"duplicate state label {repeated!r}", line=line)
+    return index
+
+
+def _read_transitions(input_alphabet, states, state_idx, transitions):
+    """The next-state table (a flat list in key order) and the emissions
+    (as given, in key order) of ``transitions``, an iterable of
+    ``(line, state, input symbol, next state, emission)`` over the states
+    ``states`` indexed by ``state_idx``.  A fault raises FormatError
+    carrying its line (None when there is none)."""
+    na = len(input_alphabet)
+    next_state = [-1] * (len(states) * na)
+    emissions = [None] * (len(states) * na)
+    for no, q, a, q2, out in transitions:
+        if q not in state_idx:
+            raise FormatError(f"transition from undeclared state {q!r}", line=no)
+        if q2 not in state_idx:
+            raise FormatError(f"transition to undeclared state {q2!r}", line=no)
+        key = state_idx[q] * na + input_alphabet.index(a)
+        if emissions[key] is not None:
+            raise FormatError(f"duplicate transition for ({q!r}, {a!r})", line=no)
+        next_state[key] = state_idx[q2]
+        emissions[key] = out
+    missing = [divmod(k, na) for k, q2 in enumerate(next_state) if q2 < 0]
+    if missing:
+        missing = [(states[q], input_alphabet.label(a)) for q, a in missing[:5]]
+        raise FormatError(f"transition table not total; missing {missing}")
+    return next_state, emissions
+
+
+def _dict_tables(input_alphabet, states, initial, transitions):
+    """The tables of a transitions dict, ``(state label, input label) ->
+    (next state label, emission)``: ``(state labels, initial state's
+    index, next-state table)``, and the emissions as given, in key order."""
+    states = tuple(states)
+    state_idx = _state_index(states)
+    if initial not in state_idx:
+        raise FormatError(f"initial state {initial!r} not declared")
+    items = ((None, q, a, q2, out) for (q, a), (q2, out) in transitions.items())
+    next_state, emissions = _read_transitions(input_alphabet, states, state_idx, items)
+    return (states, state_idx[initial], next_state), emissions
+
+
 class Transducer:
     """Finite automaton that emits a word (possibly empty) on each step.
 
@@ -103,38 +155,30 @@ class Transducer:
 
     def __init__(self, input_alphabet, output_alphabet, states, initial, transitions):
         """``transitions`` maps (state label, input label) to
-        (next state label, output FiniteWord-or-label-list)."""
-        self.input_alphabet = input_alphabet
-        self.output_alphabet = output_alphabet
-        self.states = tuple(states)
-        if len(set(self.states)) != len(self.states):
-            raise FormatError(f"duplicate state labels in {self.states}")
-        if initial not in self.states:
-            raise FormatError(f"initial state {initial!r} not declared")
-        self.initial = initial
-        state_idx = {q: i for i, q in enumerate(self.states)}
-        nq, na = len(self.states), len(input_alphabet)
-        next_state = [-1] * (nq * na)
-        emissions = [None] * (nq * na)
-        for (q, a), (q2, out) in transitions.items():
-            if q not in state_idx:
-                raise FormatError(f"transition from undeclared state {q!r}")
-            if q2 not in state_idx:
-                raise FormatError(f"transition to undeclared state {q2!r}")
-            key = state_idx[q] * na + input_alphabet.index(a)
-            next_state[key] = state_idx[q2]
-            emissions[key] = out
-        missing = [
-            (self.states[k // na], input_alphabet.label(k % na))
-            for k, emitted in enumerate(emissions)
-            if emitted is None
-        ]
-        if missing:
-            raise FormatError(f"transition table not total; missing {missing[:5]}")
-        self._next = np.array(next_state, np.int32).reshape(nq, na)
-        self._emit = _emissions(emissions, output_alphabet)
-        self._initial_idx = state_idx[self.initial]
-        self._state_idx = state_idx
+        (next state label, output FiniteWord-or-label-list).  The dict is
+        read into tables, and the machine takes the attributes that
+        ``_from_tables`` gives the machine of those tables."""
+        tables, emissions = _dict_tables(input_alphabet, states, initial, transitions)
+        emit = _emissions(emissions, output_alphabet)
+        vars(self).update(vars(self._from_tables(input_alphabet, output_alphabet, *tables, emit)))
+
+    @classmethod
+    def _from_tables(cls, input_alphabet, output_alphabet, states, initial_idx, next_state, emit):
+        """The machine whose state i is labelled ``states[i]``, that starts
+        in state ``initial_idx`` and that, in state q on input symbol a,
+        moves to ``next_state[q, a]`` (a ``(|Q|, |A|)`` table of state
+        indices, or its rows concatenated) and emits ``emit[q * |A| + a]``.
+        The tables are trusted; only a repeated state label raises."""
+        machine = object.__new__(cls)
+        machine.input_alphabet = input_alphabet
+        machine.output_alphabet = output_alphabet
+        machine.states = tuple(states)
+        machine._state_idx = _state_index(machine.states)
+        machine.initial = machine.states[initial_idx]
+        machine._initial_idx = initial_idx
+        machine._next = np.asarray(next_state, np.int32).reshape(-1, len(input_alphabet))
+        machine._emit = emit
+        return machine
 
     def transition(self, state: str, symbol: str) -> tuple[str, FiniteWord]:
         qi = self._state_idx[state]
@@ -149,13 +193,9 @@ class MealyMachine(Transducer):
     def __init__(self, input_alphabet, output_alphabet, states, initial, transitions):
         """``transitions`` maps (state label, input label) to
         (next state label, output label)."""
-        super().__init__(
-            input_alphabet,
-            output_alphabet,
-            states,
-            initial,
-            {key: (q2, [b]) for key, (q2, b) in transitions.items()},
-        )
+        tables, labels = _dict_tables(input_alphabet, states, initial, transitions)
+        emit = _one_symbol_table(_encode(output_alphabet, labels))
+        vars(self).update(vars(self._from_tables(input_alphabet, output_alphabet, *tables, emit)))
 
     def transition(self, state: str, symbol: str) -> tuple[str, str]:
         q2, out = super().transition(state, symbol)
@@ -167,12 +207,18 @@ class Homomorphism:
 
     def __init__(self, source: Alphabet, target: Alphabet, images):
         """``images`` maps every source label to a FiniteWord or label list."""
-        self.source = source
-        self.target = target
         for s in source:
             if s not in images:
                 raise FormatError(f"no image for symbol {s!r}")
-        self._images = _emissions([images[s] for s in source], target)
+        table = _emissions([images[s] for s in source], target)
+        vars(self).update(vars(self._from_table(source, target, table)))
+
+    @classmethod
+    def _from_table(cls, source: Alphabet, target: Alphabet, images: EmissionTable):
+        """The homomorphism whose image of source symbol i is ``images[i]``."""
+        h = object.__new__(cls)
+        h.source, h.target, h._images = source, target, images
+        return h
 
     def image(self, label: str) -> FiniteWord:
         return FiniteWord(self.target, self._images[self.source.index(label)])
@@ -243,50 +289,63 @@ def run_mealy_stream(machine: MealyMachine, inp: InfiniteWordSource) -> MealyStr
 def delay_prepend_automaton(a: FiniteWord) -> MealyMachine:
     """Machine that buffers the last |a| inputs, so its output is a
     followed by the input stream (delayed by |a|).  Its sigma^L states
-    (L = |a|) are not built past ``MAX_DELAY_STATES``: BudgetError."""
+    (L = |a|) are not built past ``MAX_DELAY_STATES``: BudgetError.
+
+    The machine is a base-sigma shift register: the state of value v (its
+    buffer as a base-sigma number, oldest symbol first) moves on input a
+    to (v * sigma + a) mod sigma^L and emits v // sigma^(L-1).  States are
+    numbered in breadth-first order from a's value s: the states reached
+    in exactly j steps are (s * sigma^j mod sigma^L) + t for t < sigma^j,
+    in that order, and the order is their concatenation over j = 0..L with
+    first occurrences kept.
+    """
     if len(a) == 0:
         raise ValueError("delay word must be nonempty")
     alph = a.alphabet
+    sigma, length = len(alph), len(a)
     # sigma >= 2 passes the bound by L = 17; a unary word has one state.
-    if len(alph) ** min(len(a), 17) > MAX_DELAY_STATES:
+    if sigma ** min(length, 17) > MAX_DELAY_STATES:
         raise BudgetError(
-            f"the delay machine of {len(a)} symbols over {len(alph)} letters has "
-            f"sigma^L = {len(alph)}^{len(a)} states, over the bound {MAX_DELAY_STATES}"
+            f"the delay machine of {length} symbols over {sigma} letters has "
+            f"sigma^L = {sigma}^{length} states, over the bound {MAX_DELAY_STATES}"
         )
-    start = tuple(a.data.tolist())
-    names = alph.labels
-    transitions = {}
-    # State tuple -> label, filled when the search first meets the state;
-    # its insertion order is the BFS order of the states.
-    labels = {start: _state_label(alph, start)}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for s, name in enumerate(names):
-            v = u[1:] + (s,)
-            if v not in labels:
-                labels[v] = _state_label(alph, v)
-                queue.append(v)
-            transitions[(labels[u], name)] = (labels[v], names[u[0]])
-    return MealyMachine(alph, alph, labels.values(), labels[start], transitions)
+    n = sigma**length
+    powers = sigma ** np.arange(length - 1, -1, -1)
+    start = int((a.data * powers).sum())
+    seen = np.zeros(n, bool)
+    levels = []
+    # Levels past j = n only repeat states (n = 1 for a unary word, whose L
+    # is not bounded).
+    for j in range(min(length, n) + 1):
+        level = start * sigma**j % n + np.arange(sigma**j)
+        levels.append(level[~seen[level]])
+        seen[level] = True
+    order = np.concatenate(levels)
+    rank = np.empty(n, np.int64)
+    rank[order] = np.arange(n)
+    next_state = rank[(order[:, None] * sigma + np.arange(sigma)) % n]
+    emit = _one_symbol_table(np.repeat(order // powers[0], sigma).astype(np.uint8))
+    digits = order[:, None] // powers % sigma
+    text = render_symbols(alph, digits.ravel())
+    if alph.single_char:
+        labels = [text[i : i + length] for i in range(0, n * length, length)]
+    else:
+        tokens = text.split(" ")
+        labels = [",".join(tokens[i : i + length]) for i in range(0, n * length, length)]
+    return MealyMachine._from_tables(alph, alph, labels, 0, next_state, emit)
 
 
 def reachable_states(machine) -> tuple[str, ...]:
     """States reachable from the initial state, in BFS order."""
-    idx_to_label = machine.states
-    seen = [False] * len(idx_to_label)
-    order = []
-    queue = deque([machine._initial_idx])
-    seen[machine._initial_idx] = True
-    while queue:
-        q = queue.popleft()
-        order.append(idx_to_label[q])
-        for ai in range(len(machine.input_alphabet)):
-            q2 = int(machine._next[q, ai])
-            if not seen[q2]:
-                seen[q2] = True
-                queue.append(q2)
-    return tuple(order)
+    rows = machine._next.tolist()
+    order = [machine._initial_idx]
+    seen = set(order)
+    for q in order:
+        for q2 in rows[q]:
+            if q2 not in seen:
+                seen.add(q2)
+                order.append(q2)
+    return tuple(machine.states[q] for q in order)
 
 
 def decompose_transducer(transducer: Transducer) -> tuple[MealyMachine, Homomorphism]:
@@ -294,26 +353,24 @@ def decompose_transducer(transducer: Transducer) -> tuple[MealyMachine, Homomorp
     (state, input symbol) and a homomorphism mapping each pair to the
     word the transducer emits on that transition.
 
+    The automaton's states are the reachable ones; it emits pair
+    ``i * |A| + a`` in the i-th of them on input a.
+
     For every input w: h(run_mealy(F, w).output) == run_transducer(T, w).output.
     """
-    reach = reachable_states(transducer)
-    images = {}
-    transitions = {}
-    for q in reach:
-        for a in transducer.input_alphabet:
-            label = f"{q},{a}"
-            # The base method returns the emitted word, also for a MealyMachine.
-            q2, images[label] = Transducer.transition(transducer, q, a)
-            transitions[(q, a)] = (q2, label)
-    automaton = MealyMachine(
-        transducer.input_alphabet,
-        Alphabet(images),
-        reach,
-        transducer.initial,
-        transitions,
-    )
-    hom = Homomorphism(automaton.output_alphabet, transducer.output_alphabet, images)
-    return automaton, hom
+    states = reachable_states(transducer)
+    reach = np.array([transducer._state_idx[q] for q in states])
+    inputs = transducer.input_alphabet
+    pairs = Alphabet(f"{q},{a}" for q in states for a in inputs)
+    rank = np.empty(len(transducer.states), np.int64)
+    rank[reach] = np.arange(len(reach))
+    keys = (reach[:, None] * len(inputs) + np.arange(len(inputs))).ravel()
+    next_state = rank[transducer._next[reach]]
+    emit = _one_symbol_table(np.arange(len(pairs), dtype=np.uint8))
+    automaton = MealyMachine._from_tables(inputs, pairs, states, 0, next_state, emit)
+    table = transducer._emit
+    images = EmissionTable.from_cells(table.lengths[keys], table.expand(keys))
+    return automaton, Homomorphism._from_table(pairs, transducer.output_alphabet, images)
 
 
 def output_infinite_check(h: Homomorphism, source: InfiniteWordSource, budget: int) -> str:
@@ -409,49 +466,77 @@ def parse_machine(text: str):
     input_alphabet = _header_alphabet(lines, 0, "input")
     output_alphabet = _header_alphabet(lines, 1, "output")
     no, state_labels = _header(lines, 2, "states")
-    declared = set(state_labels)
-    if len(declared) != len(state_labels):
-        raise FormatError(f"duplicate state labels in {tuple(state_labels)}", line=no)
+    state_idx = _state_index(state_labels, no)
     no, initial = _header(lines, 3, "initial")
     if len(initial) != 1:
         raise FormatError("initial header must name exactly one state", line=no)
-    if initial[0] not in declared:
+    if initial[0] not in state_idx:
         raise FormatError(f"initial state {initial[0]!r} not declared", line=no)
-    transitions = {}
-    mealy = True
-    for no, line in lines[4:]:
-        tokens = line.split()
-        if len(tokens) != 5 or tokens[2] != "->":
+
+    def transitions():
+        for no, line in lines[4:]:
+            tokens = line.split()
+            if len(tokens) != 5 or tokens[2] != "->":
+                raise FormatError(
+                    f"expected '<state> <sym> -> <state> <emission>', got {line!r}",
+                    line=no,
+                )
+            q, a, _, q2, emission = tokens
+            if a not in input_alphabet:
+                raise FormatError(f"undeclared input symbol {a!r}", line=no)
+            yield no, q, a, q2, _emission_word(emission, output_alphabet, no)
+
+    items = transitions()
+    next_state, emissions = _read_transitions(input_alphabet, state_labels, state_idx, items)
+    emit = _emissions(emissions, output_alphabet)
+    kind = MealyMachine if (emit.lengths == 1).all() else Transducer
+    return kind._from_tables(
+        input_alphabet, output_alphabet, state_labels, state_idx[initial[0]], next_state, emit
+    )
+
+
+def _header_line(key: str, labels) -> str:
+    """The ``key:`` header line of a definition file listing ``labels``.  A
+    label that would not read back as itself raises FormatError: one
+    holding ``#``, which starts a comment, or a state label that is empty
+    or holds whitespace, which separates labels."""
+    for label in labels:
+        if "#" in label or label.split() != [label]:
             raise FormatError(
-                f"expected '<state> <sym> -> <state> <emission>', got {line!r}",
-                line=no,
+                f"{key} label {label!r} cannot be written: a label must be nonempty, "
+                "without '#' or whitespace"
             )
-        q, a, _, q2, emission = tokens
-        if (q, a) in transitions:
-            raise FormatError(f"duplicate transition for ({q!r}, {a!r})", line=no)
-        if q not in declared or q2 not in declared or a not in input_alphabet:
-            raise FormatError(f"undeclared state or input symbol in {line!r}", line=no)
-        emitted = _emission_word(emission, output_alphabet, no)
-        if len(emitted) != 1 or emission not in output_alphabet:
-            mealy = False
-        transitions[(q, a)] = (q2, emitted)
-    if mealy:
-        transitions = {k: (q2, em[0]) for k, (q2, em) in transitions.items()}
-    kind = MealyMachine if mealy else Transducer
-    return kind(input_alphabet, output_alphabet, state_labels, initial[0], transitions)
+    return f"{key}: " + " ".join(labels)
+
+
+def _emission_token(emitted: np.ndarray, alphabet: Alphabet, where: str) -> str:
+    """The token a definition file spells the word ``emitted`` (symbol
+    indices over ``alphabet``) with: its labels run together, or ``-`` for
+    the empty word.  A token that the reader (``_split_emission``) would
+    not split back into these labels raises FormatError naming ``where``."""
+    labels = [alphabet.label(i) for i in emitted.tolist()]
+    token = "".join(labels) or "-"
+    with suppress(FormatError):
+        if _split_emission(token, alphabet, "-") == labels:
+            return token
+    raise FormatError(
+        f"{where}: emission {' '.join(labels)!r} is written {token!r}, "
+        "which reads back as other symbols"
+    )
 
 
 def format_machine(machine) -> str:
     lines = [
-        "input: " + " ".join(machine.input_alphabet.labels),
-        "output: " + " ".join(machine.output_alphabet.labels),
-        "states: " + " ".join(machine.states),
+        _header_line("input", machine.input_alphabet.labels),
+        _header_line("output", machine.output_alphabet.labels),
+        _header_line("states", machine.states),
         "initial: " + machine.initial,
     ]
-    for q in machine.states:
-        for a in machine.input_alphabet:
-            q2, out = Transducer.transition(machine, q, a)
-            lines.append(f"{q} {a} -> {q2} {out.to_text().replace(' ', '') or '-'}")
+    # Transition k = q * |A| + a is cell k of the next-state table.
+    for k, (q, a) in enumerate(product(machine.states, machine.input_alphabet)):
+        where = f"state {q!r}, symbol {a!r}"
+        token = _emission_token(machine._emit[k], machine.output_alphabet, where)
+        lines.append(f"{q} {a} -> {machine.states[machine._next.flat[k]]} {token}")
     return "\n".join(lines) + "\n"
 
 
@@ -483,11 +568,8 @@ def parse_homomorphism(text: str) -> Homomorphism:
 
 
 def format_homomorphism(h: Homomorphism) -> str:
-    lines = [
-        "source: " + " ".join(h.source.labels),
-        "target: " + " ".join(h.target.labels),
-    ]
-    for s in h.source:
-        token = h.image(s).to_text().replace(" ", "") or "-"
+    lines = [_header_line("source", h.source.labels), _header_line("target", h.target.labels)]
+    for i, s in enumerate(h.source):
+        token = _emission_token(h._images[i], h.target, f"symbol {s!r}")
         lines.append(f"{s} -> {token}")
     return "\n".join(lines) + "\n"

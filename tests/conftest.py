@@ -1,3 +1,5 @@
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,58 @@ def periodic_output(machine, period):
         blocks.append(block)
     cycle = seen[q]
     return sum(blocks[:cycle], []), sum(blocks[cycle:], [])
+
+
+# phi(0) = 01100, phi(1) = 10011: a_n = phi^n(1) (see family_word).
+PHI = np.array([[0, 1, 1, 0, 0], [1, 0, 0, 1, 1]], np.uint8)
+
+
+def phi_power(word, n):
+    """phi^n of ``word``, a sequence of 0/1 symbols."""
+    out = np.asarray(word, np.uint8)
+    for _ in range(n):
+        out = PHI[out].ravel()
+    return out
+
+
+def family_word(tau, n, level=0):
+    """The first n symbols of the counterexample family's word for the
+    repetition counts ``tau`` (a callable), from its morphism (oracle for
+    CounterexampleFamily.prefix_array).  Block k is
+    c_k = a_k^tau(k) = phi^k(1^tau(k)), so the word is S-adic:
+    omega = 1^tau(0) . phi(omega'), where omega' is the word of the shifted
+    table k -> tau(k + 1).  ``level`` is how often tau was shifted."""
+    head = min(tau(level), n)
+    if head == n:
+        return np.ones(n, np.uint8)
+    inner = family_word(tau, -(-(n - head) // 5), level + 1)
+    return np.concatenate([np.ones(head, np.uint8), PHI[inner].ravel()[: n - head]])
+
+
+def delay_machine_bfs(a):
+    """The delay machine of the word ``a`` by breadth-first search over
+    buffer tuples (oracle for ``delay_prepend_automaton``, which builds it
+    as a shift register): the state labels in BFS order, the next-state
+    table as lists of state indices, and the symbol each state emits (the
+    first of its buffer)."""
+    alph = a.alphabet
+    sep = "" if alph.single_char else ","
+    start = tuple(a.data.tolist())
+    # State tuple -> index, filled when the search first meets the state.
+    index = {start: 0}
+    queue = deque([start])
+    next_state = {}
+    while queue:
+        u = queue.popleft()
+        for s in range(len(alph)):
+            v = u[1:] + (s,)
+            if v not in index:
+                index[v] = len(index)
+                queue.append(v)
+            next_state[u, s] = index[v]
+    labels = tuple(sep.join(map(alph.label, u)) for u in index)
+    table = [[next_state[u, s] for s in range(len(alph))] for u in index]
+    return labels, table, [u[0] for u in index]
 
 
 def omega_prefix(u, v, n):

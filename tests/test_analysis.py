@@ -32,8 +32,8 @@ from apwords import (
     verify_theorem1,
 )
 from apwords import _kernels, cli
-from apwords.analysis import _packed_shift
-from conftest import bword, naive_cut_search, naive_occurrences, naive_stability
+from apwords.analysis import MAX_VERIFY_LEVEL, _packed_shift
+from conftest import bword, naive_cut_search, naive_occurrences, naive_stability, phi_power
 
 # Stretch lengths patched into ``_kernels._CHUNK``, so that scans of these
 # short words cross stretch edges (a pattern of m symbols makes stretches
@@ -273,6 +273,18 @@ class TestLemmaChecks:
         assert result.missing() == ()
         for pos in result.witnesses.values():
             assert 0 <= pos <= 5 ** (n + 1)
+
+    @pytest.mark.parametrize("n", [MAX_VERIFY_LEVEL + 1, MAX_VERIFY_LEVEL + 2])
+    def test_pair_containment_past_verify_budget(self, family, n):
+        # a_(n+1) = phi^n(10011), and 10011 holds 10, 00, 01 and 11 at 0..3,
+        # so phi^n of each pair starts at j * 5^n: the lemma holds by
+        # construction at every level.
+        target = phi_power([1, 0, 0, 1, 1], n)
+        assert np.array_equal(family.a_array(n + 1), target)
+        for j, pair in enumerate(([1, 0], [0, 0], [0, 1], [1, 1])):
+            at = target[j * 5**n : (j + 2) * 5**n]
+            assert np.array_equal(at, phi_power(pair, n))
+        assert verify_pair_containment(family, n).ok
 
     def test_pair_containment_requires_binary(self, family):
         family.alphabet = Alphabet("abc")

@@ -438,6 +438,13 @@ class TestRun:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "2^17" in err
 
+    def test_colliding_delay_state_labels(self, capsys):
+        # The ","-joined buffers "a" "a,b" "a,a" "b" and "a,a" "b" "a" "a,b"
+        # (and others) spell one label; the error names only the first.
+        code, out, err = run_cli(capsys, "run", "--delay-prepend", "a a,b a,a b", "--input", "a")
+        assert (code, out) == (2, "")
+        assert err == "error: duplicate state label 'a,a,b,a,a,b'\n"
+
 
 class TestDecompose:
     def test_round_trip_through_files(self, capsys, tmp_path):

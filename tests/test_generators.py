@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from apwords import (
     BudgetError,
@@ -14,6 +16,7 @@ from apwords import (
     segment,
     tau_from_table,
 )
+from conftest import family_word, phi_power
 
 A2 = "1001101100011001001110011"
 
@@ -32,6 +35,10 @@ class TestBlockWords:
             )
             assert family.a(n + 1) == expected
             assert len(a) == 5**n
+
+    @given(st.integers(0, 7))
+    def test_blocks_are_phi_powers(self, n):
+        assert np.array_equal(CounterexampleFamily().a_array(n), phi_power([1], n))
 
     def test_prefix_nesting(self, family):
         for n in range(6):
@@ -103,6 +110,11 @@ class TestOmega:
         p9 = CounterexampleFamily(tau=tau_from_table([9])).prefix_array(30)
         diff = np.nonzero(p10 != p9)[0]
         assert diff[0] == 10
+
+    @given(st.lists(st.sampled_from([9, 10]), max_size=12), st.integers(0, 4 * 10**5 - 1))
+    def test_prefix_matches_morphism_oracle(self, rows, n):
+        tau = tau_from_table(rows)
+        assert np.array_equal(CounterexampleFamily(tau=tau).prefix_array(n), family_word(tau, n))
 
     def test_partial_block_materialization_is_cheap(self):
         # A short prefix reaching into a late block must not build the full

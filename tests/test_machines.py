@@ -37,6 +37,7 @@ from apwords import _kernels
 from apwords.words import EmissionTable
 from conftest import (
     bword,
+    delay_machine_bfs,
     naive_mealy_run,
     naive_transducer_run,
     omega_prefix,
@@ -456,6 +457,19 @@ class TestMealyStream:
             run_mealy_stream(doubler, family.source())
 
 
+@st.composite
+def delay_words(draw):
+    """Words of 1-12 symbols over 1-4 labels of 1-2 characters whose delay
+    machine has at most 4096 states."""
+    labels = draw(
+        st.lists(st.text("ab,é", min_size=1, max_size=2), min_size=1, max_size=4, unique=True)
+    )
+    sigma = len(labels)
+    longest = max(n for n in range(1, 13) if sigma**n <= 4096)
+    symbols = draw(st.lists(st.integers(0, sigma - 1), min_size=1, max_size=longest))
+    return FiniteWord(Alphabet(labels), symbols)
+
+
 class TestDelayPrepend:
     def test_one_symbol(self):
         machine = delay_prepend_automaton(bword("1"))
@@ -484,6 +498,23 @@ class TestDelayPrepend:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             delay_prepend_automaton(BINARY.word(""))
+
+    @given(delay_words())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_bfs_oracle(self, word):
+        labels, next_state, emitted = delay_machine_bfs(word)
+        if len(set(labels)) < len(labels):
+            # Labels holding ',' can join into one state label.
+            with pytest.raises(FormatError, match="duplicate state label"):
+                delay_prepend_automaton(word)
+            return
+        machine = delay_prepend_automaton(word)
+        sigma = len(word.alphabet)
+        assert type(machine) is MealyMachine
+        assert machine.states == labels and machine.initial == labels[0]
+        assert machine._next.tolist() == next_state
+        keys = np.arange(len(labels) * sigma)
+        assert machine._emit.expand(keys).tolist() == np.repeat(emitted, sigma).tolist()
 
     @pytest.mark.parametrize(
         "word, power",
@@ -610,6 +641,15 @@ class TestDecompose:
         automaton, hom = decompose_transducer(t)
         w = bword("0101")
         assert len(apply_homomorphism(hom, run_mealy(automaton, w).output)) == 0
+
+    def test_colliding_pair_labels(self):
+        # (x, "0,1") and ("x,0", 1) would both be the pair "x,0,1".
+        t = Transducer(
+            Alphabet(["0", "0,1", "1"]), BINARY, ["x", "x,0"], "x",
+            {(q, a): ("x,0", []) for q in ("x", "x,0") for a in ("0", "0,1", "1")},
+        )
+        with pytest.raises(AlphabetError, match="duplicate symbol labels"):
+            decompose_transducer(t)
 
     def test_random_round_trip(self):
         rng = np.random.default_rng(12)
@@ -764,7 +804,86 @@ q 1 -> q -
 """
 
 
+# Labels that a definition file can misread: "a ba" runs together as
+# "aba", which splits as "ab a"; "-" alone is the empty word's token; "#"
+# starts a comment.
+FILE_LABELS = ["a", "ab", "b", "ba", "-", "a#", "0", "1"]
+FILE_ALPHABETS = st.lists(st.sampled_from(FILE_LABELS), min_size=1, max_size=4, unique=True)
+
+
+@st.composite
+def written_machines(draw):
+    """A Mealy machine, transducer or homomorphism with 1-3 states and
+    1-4 labels per alphabet, drawn from FILE_LABELS."""
+    kind = draw(st.sampled_from([MealyMachine, Transducer, Homomorphism]))
+    source = Alphabet(draw(FILE_ALPHABETS))
+    target = Alphabet(draw(FILE_ALPHABETS))
+    if kind is MealyMachine:
+        emissions = st.sampled_from(target.labels)
+    else:
+        emissions = st.lists(st.sampled_from(target.labels), max_size=3)
+    if kind is Homomorphism:
+        return Homomorphism(source, target, {s: draw(emissions) for s in source})
+    # A state label is any string: one holding a space, or an empty one,
+    # cannot be written.
+    state_labels = st.sampled_from([*FILE_LABELS, "q 0", ""])
+    states = draw(st.lists(state_labels, min_size=1, max_size=3, unique=True))
+    transitions = {
+        (q, a): (draw(st.sampled_from(states)), draw(emissions)) for q in states for a in source
+    }
+    # A transducer emitting one symbol on every step reads back as Mealy.
+    assume(kind is MealyMachine or any(len(e) != 1 for _, e in transitions.values()))
+    return kind(source, target, states, draw(st.sampled_from(states)), transitions)
+
+
+def written_tables(m):
+    """Everything a definition file holds of a machine or homomorphism."""
+    if isinstance(m, Homomorphism):
+        return m.source, m.target, [m.image(s) for s in m.source]
+    keys = range(m._next.size)
+    return (
+        type(m), m.input_alphabet, m.output_alphabet, m.states, m.initial,
+        m._next.tolist(), [m._emit[k].tolist() for k in keys],
+    )
+
+
 class TestDefinitionFiles:
+    @given(written_machines())
+    @example(  # "a ba" is written "aba", which reads back as "ab a"
+        Transducer(
+            Alphabet("x"), Alphabet(["a", "ab", "b", "ba"]), ["q"], "q",
+            {("q", "x"): ("q", ["a", "ba"])},
+        )
+    )
+    @example(  # "-" emitted alone reads back as the empty word
+        MealyMachine(
+            Alphabet("x"), Alphabet(["-", "a"]), ["q"], "q", {("q", "x"): ("q", "-")}
+        )
+    )
+    @example(  # "a#" is cut at the comment, so the file is over "a"
+        MealyMachine(Alphabet("x"), Alphabet(["a#"]), ["q"], "q", {("q", "x"): ("q", "a#")})
+    )
+    @settings(deadline=None)
+    def test_written_file_reads_back_as_written(self, m):
+        if isinstance(m, Homomorphism):
+            write, read = format_homomorphism, parse_homomorphism
+            inputs, outputs, states = m.source, m.target, ()
+        else:
+            write, read = format_machine, parse_machine
+            inputs, outputs, states = m.input_alphabet, m.output_alphabet, m.states
+        try:
+            text = write(m)
+        except FormatError:
+            # Only a label that a file can misread makes the writer refuse.
+            assert (
+                any("#" in s or s.split() != [s] for s in (*inputs, *outputs, *states))
+                or "-" in outputs
+                or not outputs.single_char
+            )
+            return
+        assert written_tables(read(text)) == written_tables(m)
+
+
     def test_parse_mealy(self):
         machine = parse_machine(MACHINE_TEXT)
         assert isinstance(machine, MealyMachine)
