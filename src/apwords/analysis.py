@@ -100,32 +100,32 @@ def _window(fold, text_length: int, pattern_length: int):
 def min_window_from_starts(starts: np.ndarray, text_length: int, pattern_length: int):
     """The minimal certifying window length (``_window``) over ascending
     occurrence starts; None when there are none."""
-    if starts.size == 0:
-        return None
-    gap = int((starts[1:] - starts[:-1]).max()) if starts.size > 1 else 0
-    fold = (starts.size, int(starts[0]), int(starts[-1]), gap)
-    return _window(fold, text_length, pattern_length)
+    return _window(_fold((starts,)), text_length, pattern_length)
 
 
-def _fold(text: np.ndarray, pattern: np.ndarray, packed=None):
+def _fold(parts, fold=(0, None, None, 0), offset=0):
     """(count, first start, last start, largest gap between consecutive
-    starts) of ``pattern`` in ``text``, folded over the scan's stretches
-    (``_kernels._stretches``, which takes the same arguments), so that no
-    array of all the starts is built: a stretch's starts are dropped once
-    folded.  (0, None, None, 0) when there is no start; the gap is 0 for
-    one start."""
-    count, first, last, gap = 0, None, None, 0
-    for starts in _kernels._stretches(text, pattern, packed):
+    starts) of the ascending start arrays ``parts``, each shifted by
+    ``offset``, continued from ``fold``, the fold of the starts before
+    them.  Callers pass a scan's stretches (``_kernels._stretches``), so
+    that no array of all the starts is built: a stretch's starts are
+    dropped once folded.  A stability entry continues its first-half fold
+    over the starts of a scan of the rest of the word, ``offset`` being
+    where that text begins.  (0, None, None, 0) when there is no start;
+    the gap is 0 for one start."""
+    count, first, last, gap = fold
+    for starts in parts:
         if starts.size == 0:
             continue
+        head = int(starts[0]) + offset
         if first is None:
-            first = int(starts[0])
+            first = head
         else:
-            gap = max(gap, int(starts[0]) - last)
+            gap = max(gap, head - last)
         if starts.size > 1:
             gap = max(gap, int((starts[1:] - starts[:-1]).max()))
         count += starts.size
-        last = int(starts[-1])
+        last = int(starts[-1]) + offset
     return count, first, last, gap
 
 
@@ -136,7 +136,7 @@ def min_window(x: FiniteWord, w: FiniteWord) -> int | None:
     The starts are folded stretch by stretch (``_fold``): the scan holds
     one stretch's starts at a time, never all of them."""
     _check_pattern(x, w)
-    return _window(_fold(w.data, x.data), len(w), len(x))
+    return _window(_fold(_kernels._stretches(w.data, x.data)), len(w), len(x))
 
 
 def check_window(x: FiniteWord, w: FiniteWord, window_length: int) -> int | None:
@@ -153,9 +153,9 @@ def check_window(x: FiniteWord, w: FiniteWord, window_length: int) -> int | None
             f"window length {window_length} exceeds the available prefix ({len(w)})",
             required=window_length,
         )
+    _check_pattern(x, w)
     if window_length < len(x):
         return 0
-    _check_pattern(x, w)
     # Window [i, i+l-1] contains x iff some start p satisfies i <= p <= i+l-|x|.
     # The windows from prev+1 on (prev the previous start, -1 before the
     # first) are covered by the next start p only while i >= p - span, so
@@ -179,12 +179,12 @@ def check_window(x: FiniteWord, w: FiniteWord, window_length: int) -> int | None
 
 def rightmost_occurrence(x: FiniteWord, w: FiniteWord) -> int | None:
     _check_pattern(x, w)
-    return _fold(w.data, x.data)[2]
+    return _fold(_kernels._stretches(w.data, x.data))[2]
 
 
 def regulator_report(x: FiniteWord, w: FiniteWord) -> RegulatorReport:
     _check_pattern(x, w)
-    fold = _fold(w.data, x.data)
+    fold = _fold(_kernels._stretches(w.data, x.data))
     return RegulatorReport(
         pattern=x,
         prefix_length=len(w),
@@ -252,7 +252,7 @@ def verify_alignment_lemma(fam: CounterexampleFamily, m: int) -> bool:
 
 def _c_absent(fam: CounterexampleFamily, n: int, prefix: np.ndarray, codes=None) -> bool:
     """Whether c_n occurs in ``prefix`` only before block n+1 (``codes``: its packed codes)."""
-    count, _, last, _ = _fold(prefix, fam.c(n).data, codes)
+    count, _, last, _ = _fold(_kernels._stretches(prefix, fam.c(n).data, codes))
     return count == 0 or last < fam.l_index(n + 1)
 
 
@@ -319,7 +319,8 @@ def verify_theorem1(
     for n in range(1, max_n + 1):
         a = fam.a_array(n)
         bound = min(5 * (5 ** (n + 2) - 1) // 2 + 2 * 5 ** (n + 2), horizon)
-        windows = [_window(_fold(prefix, x, codes), horizon, a.size) for x in (a, 1 - a)]
+        folds = (_fold(_kernels._stretches(prefix, x, codes)) for x in (a, 1 - a))
+        windows = [_window(fold, horizon, a.size) for fold in folds]
         checks += [
             LemmaCheck("pair-containment", n, verify_pair_containment(fam, n).ok),
             LemmaCheck("alignment", n, verify_alignment_lemma(fam, n)),
@@ -331,18 +332,6 @@ def verify_theorem1(
 
 # ---------------------------------------------------------------------------
 # stability reports
-
-
-def _stability_entry(alphabet, pat: np.ndarray, starts: np.ndarray, half: int, n: int):
-    """The entry of factor `pat`, with ascending `starts` in a word of length n."""
-    m = pat.shape[0]
-    in_half = starts[: int(np.searchsorted(starts, half - m, "right"))]
-    return StabilityEntry(
-        factor=FiniteWord._wrap(alphabet, pat),
-        occurrence_count=int(starts.size),
-        min_window_half=min_window_from_starts(in_half, half, m),
-        min_window_full=min_window_from_starts(starts, n, m),
-    )
 
 
 def _packed_shift(half: int, sigma: int) -> int:
@@ -389,12 +378,15 @@ def recurrence_stability(
     (a binary word of 10^5 symbols first needs that after L = 47).  Each
     run of equal keys in sorted order is one factor and
     holds that factor's first-half starts in ascending order, so the sort
-    gives every factor's first-half count and minimal window.  The other
-    starts come from one scan per factor of the second half only, the text
-    from half - L + 1 on.  A required factor that the listing does not
-    produce is scanned once over all of w.  The word is packed once
-    (``_kernels.pack``), and every scan reads those codes, sliced where its
-    text starts.
+    gives every factor's first-half fold (count, first and last start,
+    largest gap; see ``_fold``).  A required factor that the listing does
+    not produce gets its first-half fold from a scan of the first half,
+    folded stretch by stretch.  Every entry is then built the same way:
+    its first-half fold continues over one scan of w from
+    max(half - L + 1, 0) on, where the starts past the first half begin,
+    and both minimal windows come from ``_window``.  The word is packed
+    once (``_kernels.pack``), and every scan reads those codes, sliced
+    where its text starts.
     """
     if len(w) < 2:
         raise ValueError("stability needs a word of length >= 2")
@@ -423,6 +415,18 @@ def recurrence_stability(
     head = np.empty(half, bool)
     codes = _kernels.pack(data)
     entries = []
+
+    def entry(pat, first_half, offset, text, text_codes):
+        # The first-half fold continues over the scan of text = data[offset:].
+        later = _kernels.find_occurrences(text, pat, packed=text_codes)
+        full = _fold((later,), first_half, offset)
+        return StabilityEntry(
+            factor=FiniteWord._wrap(alphabet, pat),
+            occurrence_count=full[0],
+            min_window_half=_window(first_half, half, pat.size),
+            min_window_full=_window(full, n, pat.size),
+        )
+
     for length in range(1, min(k, half) + 1):
         m = half - length + 1
         p, s, g, h = packed[:m], starts[:m], gaps[:m], head[:m]
@@ -442,45 +446,24 @@ def recurrence_stability(
         ends = np.append(runs[1:], m)
         np.subtract(s[1:], s[:-1], out=g[1:])
         np.copyto(g, 0, where=h)
-        first, last, gap = s[runs], s[ends - 1], np.maximum.reduceat(g, runs)
-        in_half = np.maximum(np.maximum(first + length, half - last), gap + length - 1)
+        count, first, last = (ends - runs).tolist(), s[runs].tolist(), s[ends - 1].tolist()
+        folds = zip(count, first, last, np.maximum.reduceat(g, runs).tolist())
         if (top * sigma) << shift > 1 << 63:
             h[0] = False
             np.cumsum(h, out=g)
             key[s] = g
             top = runs.size
-        offset = half - length + 1
-        text, text_codes = data[offset:], codes[offset:]
-        for start, last_i, gap_i, count, window in zip(
-            first.tolist(),
-            last.tolist(),
-            gap.tolist(),
-            (ends - runs).tolist(),
-            in_half.tolist(),
-        ):
-            pat = data[start : start + length]
+        # The first half has m windows, so the later starts begin at m.
+        text, text_codes = data[m:], codes[m:]
+        for fold in folds:
+            pat = data[fold[1] : fold[1] + length]
             if unlisted:
                 unlisted.pop(pat.tobytes(), None)
-            later = _kernels.find_occurrences(text, pat, packed=text_codes)
-            if later.size:
-                gap_i = max(gap_i, int(later[0]) + offset - last_i)
-                if later.size > 1:
-                    gap_i = max(gap_i, int((later[1:] - later[:-1]).max()))
-                last_i = int(later[-1]) + offset
-            entries.append(
-                StabilityEntry(
-                    factor=FiniteWord._wrap(alphabet, pat),
-                    occurrence_count=count + int(later.size),
-                    min_window_half=window,
-                    min_window_full=max(start + length, n - last_i, gap_i + length - 1),
-                )
-            )
-    entries += [
-        _stability_entry(
-            alphabet, pat, _kernels.find_occurrences(data, pat, packed=codes), half, n
-        )
-        for pat in unlisted.values()
-    ]
+            entries.append(entry(pat, fold, m, text, text_codes))
+    for pat in unlisted.values():
+        offset = max(half - pat.size + 1, 0)
+        first_half = _fold(_kernels._stretches(data[:half], pat, codes))
+        entries.append(entry(pat, first_half, offset, data[offset:], codes[offset:]))
     entries.sort(key=lambda e: (len(e.factor), e.factor.data.tobytes()))
     return StabilityReport(
         factor_length_bound=k,

@@ -219,6 +219,8 @@ def cmd_window(args, parser):
 def cmd_run(args, parser):
     if (args.machine is None) == (args.delay_prepend is None):
         parser.error("give exactly one of --machine, --delay-prepend")
+    if [args.input, args.input_file, args.gen].count(None) < 2:
+        parser.error("give at most one of --input, --input-file, --gen")
     if args.machine:
         with open(args.machine, "r", encoding="utf-8") as fh:
             machine = parse_machine(fh.read())

@@ -139,6 +139,12 @@ class TestCheckWindow:
         with pytest.raises(InsufficientDataError):
             check_window(bword("1"), bword("10011"), 6)
 
+    @pytest.mark.parametrize("window_length", [2, 3])
+    def test_foreign_pattern_rejected_at_any_window(self, window_length):
+        # Shorter or not than the pattern, the window never hides the alphabet error.
+        with pytest.raises(AlphabetError):
+            check_window(Alphabet("xy").word("xyx"), Alphabet("ab").word("abab"), window_length)
+
     @given(
         st.text(alphabet="01", min_size=2, max_size=24),
         st.text(alphabet="01", min_size=1, max_size=4),
@@ -558,6 +564,7 @@ class TestStabilityOracle:
     @example(case=("ab", "abababab", ["bb"], [0]), k=2)  # required factor absent
     @example(case=("01", "0110100110010110", ["0110100"], [0, 3]), k=3)  # longer than k
     @example(case=("ab", "abab", ["ababab"], [0, 1]), k=2)  # longer than the word
+    @example(case=("ab", "abab", ["abab", "bab"], [0, 1]), k=1)  # longer than the half
     @example(case=("ab", "aabab", ["ab", "ab", "b"], [0, 1]), k=2)  # duplicated, listed
     @example(case=("a", "a" * 9, ["a" * 10, "aa"], [0, 4]), k=13)  # unary, k > half
     @example(case=("abc", "cabcabcab", [], [0, 1, 2]), k=4)  # periodic after a cut
@@ -586,6 +593,21 @@ class TestStabilityOracle:
         ]
         assert rows == naive_stability(w, k, req)
         assert eap_cut_search(w, k, cuts, required=req) == naive_cut_search(w, k, cuts, req)
+
+    @given(case=stability_cases(), k=st.integers(1, 13), chunk=CHUNKS)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_definition_across_stretch_edges(self, case, k, chunk):
+        # Short stretches make the folded scans, the first-half scan of a
+        # required factor and every later scan, cross stretch edges.
+        labels, text, required, cuts = case
+        alphabet = Alphabet(labels)
+        w = alphabet.word(text)
+        req = [alphabet.word(r) for r in required]
+        with _chunked(chunk):
+            rows = report_rows(w, k, req)
+            cut = eap_cut_search(w, k, cuts, required=req)
+        assert rows == naive_stability(w, k, req)
+        assert cut == naive_cut_search(w, k, cuts, req)
 
 
 def report_rows(w, k, required=()):

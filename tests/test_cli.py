@@ -613,6 +613,25 @@ def test_negative_gen_length_is_parser_error(capsys, verb):
     assert "--length must be >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "sources",
+    [
+        ["--input", "0000", "--input-file", "word.txt"],
+        ["--input", "0000", "--gen", "paper", "--length", "6"],
+        ["--input-file", "word.txt", "--gen", "paper", "--length", "6"],
+    ],
+)
+def test_run_rejects_two_input_sources(capsys, tmp_path, monkeypatch, sources):
+    # No input source is dropped in silence: run refuses more than one.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "word.txt").write_text("0101")
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--delay-prepend", "01", *sources])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "give at most one of --input, --input-file, --gen" in err
+
+
 MACHINE_ARGV = ["run", "--input", "01", "--machine"]
 RULES_ARGV = ["gen", "--family", "morphic", "--seed", "0", "--length", "8", "--rules"]
 WORD_ARGV = ["occ", "--pattern", "1", "--word-file"]
