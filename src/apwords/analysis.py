@@ -335,8 +335,9 @@ def verify_theorem1(
 
 
 def _packed_shift(half: int, sigma: int) -> int:
-    """Bits that hold a window start in the int64 sort values
-    ``key << shift | start`` of ``recurrence_stability``.
+    """Bits that hold a window start in the sort values
+    ``key << shift | start`` of ``recurrence_stability``: uint32 at the
+    lengths where every value is below 2^32, int64 at the others.
 
     A key is its window's base-|A| value until the next length's values
     could pass 2^63; the keys are then re-ranked densely from 0, and the
@@ -373,10 +374,14 @@ def recurrence_stability(
     The factors are listed by one sort of window keys per length L over
     the first half, the refinement step of Karp, Miller and Rosenberg
     (STOC 1972).  A window's key is its base-|A| value, one multiply-add
-    from its key at length L - 1; only when the next length's keys could
-    overflow int64 are they replaced by their dense ranks in sorted order
-    (a binary word of 10^5 symbols first needs that after L = 47).  Each
-    run of equal keys in sorted order is one factor and
+    from its key at length L - 1, and it is sorted as ``key << shift |
+    start`` (``_packed_shift``).  The keys and sort values are uint32 at
+    the lengths where the values stay below 2^32, and int64 at the others,
+    so a sort of short keys moves half the bytes (a binary word of 10^5
+    symbols, whose starts take 16 bits, sorts uint32 through L = 16).
+    Only when the next length's values could pass 2^63 are the keys
+    replaced by their dense ranks in sorted order (for that word, after
+    L = 47).  Each run of equal keys in sorted order is one factor and
     holds that factor's first-half starts in ascending order, so the sort
     gives every factor's first-half fold (count, first and last start,
     largest gap; see ``_fold``).  A required factor that the listing does
@@ -405,12 +410,15 @@ def recurrence_stability(
     # The key of the window at i is the base-|A| value of its symbols,
     # below top = |A|^L, so equal keys mean equal windows and the keys sort
     # as the windows do.  Sorting key << shift | i orders equal keys by
-    # start.  When the next length's values could pass 2^63, this length's
-    # keys become their dense ranks (from 0) in sorted order and top the
-    # number of ranks; the next symbols then extend the ranks in base |A|.
-    key = np.zeros(half, np.int64)
+    # start.  The values are below top << shift: where that is at most
+    # 2^32, the keys are uint32 and the values, starts and gaps uint32 views
+    # of the int64 buffers, so each pass moves half the bytes.  When the
+    # next length's values could pass 2^63, this length's keys become their
+    # dense ranks (from 0) in sorted order and top the number of ranks; the
+    # next symbols then extend the ranks in base |A|.
+    key = np.zeros(half, np.uint32)
     top = 1
-    index = np.arange(half, dtype=np.int64)
+    index = np.arange(half, dtype=np.uint32)
     packed, starts, gaps = (np.empty(half, np.int64) for _ in range(3))
     head = np.empty(half, bool)
     codes = _kernels.pack(data)
@@ -429,10 +437,14 @@ def recurrence_stability(
 
     for length in range(1, min(k, half) + 1):
         m = half - length + 1
-        p, s, g, h = packed[:m], starts[:m], gaps[:m], head[:m]
+        top *= sigma
+        width = np.int64 if top << shift > 1 << 32 else np.uint32
+        if key.dtype != width:
+            key = key[: m + 1].astype(width)
+        p, s, g = (b.view(width)[:m] for b in (packed, starts, gaps))
+        h = head[:m]
         key[:m] *= sigma
         key[:m] += data[length - 1 : half]
-        top *= sigma
         np.left_shift(key[:m], shift, out=p)
         p |= index[:m]
         p.sort()
@@ -464,7 +476,9 @@ def recurrence_stability(
         offset = max(half - pat.size + 1, 0)
         first_half = _fold(_kernels._stretches(data[:half], pat, codes))
         entries.append(entry(pat, first_half, offset, data[offset:], codes[offset:]))
-    entries.sort(key=lambda e: (len(e.factor), e.factor.data.tobytes()))
+    # The listing emits its entries in (length, symbols) order already.
+    if unlisted:
+        entries.sort(key=lambda e: (len(e.factor), e.factor.data.tobytes()))
     return StabilityReport(
         factor_length_bound=k,
         half_length=half,

@@ -12,6 +12,8 @@ import argparse
 import functools
 import sys
 
+import numpy as np
+
 from . import analysis
 from .analysis import check_window, eap_cut_search, min_window, recurrence_stability
 from .errors import (
@@ -123,16 +125,22 @@ def _input_word(args, parser) -> FiniteWord:
     """Resolve the shared word-input options to a finite word."""
     if [args.word, args.word_file, args.gen].count(None) != 2:
         parser.error("give exactly one of --word, --word-file, --gen")
+    word = _generated_word(args, parser)
+    if word is not None:
+        return word
     if args.word is not None:
         return parse_word(args.word)
-    if args.word_file is not None:
-        with open(args.word_file, "r", encoding="utf-8") as fh:
-            return parse_word(fh.read())
-    return _generated_word(args, parser)
+    with open(args.word_file, "r", encoding="utf-8") as fh:
+        return parse_word(fh.read())
 
 
-def _generated_word(args, parser) -> FiniteWord:
-    """The ``--length`` prefix of the ``--gen`` word."""
+def _generated_word(args, parser) -> FiniteWord | None:
+    """The ``--length`` prefix of the ``--gen`` word; None without
+    ``--gen``, where ``--length`` is a usage error."""
+    if args.gen is None:
+        if args.length is not None:
+            parser.error("--length needs --gen")
+        return None
     if args.length is None:
         parser.error("--gen needs --length")
     if args.length < 0:
@@ -171,13 +179,20 @@ def _add_word_input(parser):
 # subcommands
 
 
+# The options of ``gen`` that each family reads, its source argument first.
+_FAMILY_OPTIONS = {"paper": ("tau_file",), "periodic": ("word",), "morphic": ("rules", "seed")}
+
+
 def cmd_gen(args, parser):
+    options = _FAMILY_OPTIONS[args.family]
+    for name in sorted({n for o in _FAMILY_OPTIONS.values() for n in o} - set(options)):
+        if getattr(args, name) is not None:
+            parser.error(f"--family {args.family} does not read --{name.replace('_', '-')}")
     if args.family == "periodic" and not args.word:
         parser.error("--family periodic needs --word")
     if args.family == "morphic" and not (args.rules and args.seed):
         parser.error("--family morphic needs --rules and --seed")
-    arg = {"paper": args.tau_file, "periodic": args.word, "morphic": args.rules}
-    src = _family_source(args.family, arg[args.family], args.seed)
+    src = _family_source(args.family, getattr(args, options[0]), args.seed)
     if args.length < 1:
         parser.error("--length must be >= 1")
     _write_word(src.alphabet, src.prefix_array(args.length))
@@ -226,8 +241,8 @@ def cmd_run(args, parser):
             machine = parse_machine(fh.read())
     else:
         machine = delay_prepend_automaton(parse_word(args.delay_prepend))
-    if args.gen is not None:
-        word = _generated_word(args, parser)
+    word = _generated_word(args, parser)
+    if word is not None:
         if word.alphabet != machine.input_alphabet:
             # The generated alphabet may be a sub-alphabet of the machine's.
             word = _relabel(word, machine.input_alphabet)
@@ -242,15 +257,19 @@ def cmd_run(args, parser):
         word = FiniteWord.from_text(machine.input_alphabet, text)
     trace = run_transducer(machine, word)
     if args.emit_states:
-        # One token per transition, under its step key: "@state", then its labels.
-        na = len(machine.input_alphabet)
+        # One token per transition the run takes, "@state" then its labels,
+        # under the transition's rank among those taken (and transition 0,
+        # so that an empty run has a table).
+        na, states = len(machine.input_alphabet), machine.states
         labels = machine.output_alphabet.labels
-        tokens = spaced_tokens(
-            " ".join(["@" + q, *(labels[i] for i in machine._emit[qi * na + a].tolist())])
-            for qi, q in enumerate(machine.states)
-            for a in range(na)
-        )
         keys = trace.state_index[:-1] * na + word.data
+        taken = np.zeros(len(states) * na, bool)
+        taken[keys] = taken[0] = True
+        tokens = spaced_tokens(
+            " ".join(["@" + states[t // na], *(labels[i] for i in machine._emit[t].tolist())])
+            for t in np.flatnonzero(taken).tolist()
+        )
+        keys = (np.cumsum(taken) - 1)[keys]
         _write(functools.partial(render_spaced, tokens), keys, " ")
     else:
         _write_word(trace.output.alphabet, trace.output.data)

@@ -644,14 +644,43 @@ class TestStabilityFromSort:
         for k in (5, 64) if len(w) // 2 <= 65 else (5,):
             assert report_rows(w, k) == naive_stability(w, k)
 
-    @pytest.mark.parametrize("k", [55, 56, 57, 58])
+    @pytest.mark.parametrize("k", [25, 26, 27, 55, 56, 57, 58])
     @pytest.mark.parametrize("text", ["a" * 128, "b" + "a" * 127], ids=["unary", "b-unary"])
     def test_rerank_boundary(self, text, k):
-        # Half 64, shift 7: keys below 2^L fit length L + 1 while
-        # L + 1 + 7 <= 63, so they are re-ranked after length 56.  Unranked,
+        # Half 64, shift 7: the values of keys below 2^L fit uint32 while
+        # L + 7 <= 32, so the keys turn int64 at length 26; left uint32
+        # there, the value 2^25 << 7 of "b" "a"^25 would wrap to 0, the
+        # value of "a"^26.  They fit int64 at length L + 1 while
+        # L + 1 + 7 <= 63, so they are re-ranked after length 56; unranked,
         # the key 2^57 of "b" "a"^57 would wrap to 0, the key of "a"^58.
         w = Alphabet("ab").word(text)
         assert report_rows(w, k) == naive_stability(w, k)
+
+    def test_int64_values_past_a_rerank(self):
+        # Half 2^16 + 1, shift 17, 256 labels: the values pass 2^32 from
+        # L = 2 on, so they are int64.  After L = 5 the next length's values
+        # could pass 2^63 (2^48 << 17), so the keys are re-ranked, and the
+        # values of L = 6, built from the 200 ranks, still pass 2^32
+        # (200 * 256 << 17): L = 6 reads int64 values built from ranks.
+        alphabet = Alphabet([f"s{i}" for i in range(256)])
+        n, k = 2**17 + 2, 6
+        half = n // 2
+        w = FiniteWord(alphabet, [56 + i % 200 for i in range(n)])
+        report = recurrence_stability(w, k)
+        head = w.data[:half].tolist()
+        windows = {
+            tuple(head[i : i + m]) for m in range(1, k + 1) for i in range(half - m + 1)
+        }
+        listed = [tuple(e.factor.data.tolist()) for e in report.entries]
+        assert listed == sorted(windows, key=lambda f: (len(f), f))
+        first_half = w[:half]
+        for e in report.entries:
+            full = regulator_report(e.factor, w)
+            assert (e.occurrence_count, e.min_window_half, e.min_window_full) == (
+                full.occurrence_count,
+                min_window(e.factor, first_half),
+                full.min_window,
+            )
 
     @given(
         data=st.lists(st.integers(0, 119), min_size=2, max_size=160),

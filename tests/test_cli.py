@@ -560,6 +560,12 @@ class TestVerifyThm1:
          "--length", "1000"],
         ["window", "--pattern", "10011", "--window-length", "-4", "--gen", "paper",
          "--length", "1000"],
+        # Options that would be ignored.
+        ["minwindow", "--pattern", "01", "--word", "0110", "--length", "1000"],
+        ["run", "--delay-prepend", "01", "--input", "0101", "--length", "2"],
+        ["gen", "--family", "paper", "--word", "01", "--length", "5"],
+        ["gen", "--family", "periodic", "--word", "01", "--tau-file", "tau.txt",
+         "--length", "5"],
     ],
 )
 def test_rejected_argument_is_usage_error(capsys, argv):
