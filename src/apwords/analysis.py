@@ -15,7 +15,7 @@ import numpy as np
 from . import _kernels
 from .errors import AlphabetError, BudgetError, EmptyPatternError, InsufficientDataError
 from .generators import CounterexampleFamily
-from .words import FiniteWord, _check_pattern
+from .words import FiniteWord, _check_pattern, render_each
 
 MAX_FACTOR_LENGTH = 64
 MAX_VERIFY_LEVEL = 4
@@ -66,11 +66,13 @@ class StabilityReport:
             return "absent" if v is None else str(v)
 
         rows = ["factor\tcount\tmin_window_half\tmin_window_full\tstable"]
-        for e in self.entries:
+        # One render for the whole column: a render call costs a few µs.
+        texts = render_each([e.factor for e in self.entries])
+        for e, text in zip(self.entries, texts):
             rows.append(
                 "\t".join(
                     (
-                        e.factor.to_text(),
+                        text,
                         str(e.occurrence_count),
                         cell(e.min_window_half),
                         cell(e.min_window_full),

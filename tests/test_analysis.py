@@ -610,6 +610,52 @@ class TestStabilityOracle:
         assert cut == naive_cut_search(w, k, cuts, req)
 
 
+# Label sets a stability case is rendered with, by the index of each
+# drawn label: as drawn (code points in progression), scrambled
+# (translated), multi-character and non-ASCII (spaced).
+SCRAMBLED = "xqz0~a!Q9m#Kb?^w("
+RELABELS = {
+    "drawn": lambda labels: list(labels),
+    "scrambled": lambda labels: list(SCRAMBLED[: len(labels)]),
+    "multi-character": lambda labels: [c * (i % 3 + 1) for i, c in enumerate(labels)],
+    "non-ASCII": lambda labels: [chr(0xE0 + i) for i in range(len(labels))],
+}
+
+
+def tsv_rows(report):
+    """``report.to_tsv()`` written row by row, each factor's labels joined
+    one by one (oracle for the one-render factor column)."""
+
+    def cell(v):
+        return "absent" if v is None else str(v)
+
+    lines = ["factor\tcount\tmin_window_half\tmin_window_full\tstable"]
+    for e in report.entries:
+        alphabet = e.factor.alphabet
+        sep = "" if alphabet.single_char else " "
+        text = sep.join(alphabet.label(i) for i in e.factor.data.tolist())
+        figures = (e.occurrence_count, cell(e.min_window_half), cell(e.min_window_full))
+        lines.append("\t".join((text, *map(str, figures), "yes" if e.stable else "no")))
+    return "\n".join(lines) + "\n"
+
+
+class TestStabilityTsv:
+    @given(case=stability_cases(), k=st.integers(1, 13), relabel=st.sampled_from(list(RELABELS)))
+    @example(case=("ab", "abababab", ["bb"], [0]), k=2, relabel="multi-character")  # absent
+    @example(case=("abc", "cabcabcab", ["ca", "cc"], [0]), k=3, relabel="scrambled")
+    @example(case=(FIVE, "eabcdeabcde", ["ee"], [0]), k=3, relabel="non-ASCII")
+    @example(case=("a", "a" * 9, ["a" * 10], [0]), k=13, relabel="drawn")  # longer than w
+    @settings(max_examples=150, deadline=None)
+    def test_matches_rows(self, case, k, relabel):
+        labels, text, required, _ = case
+        drawn = Alphabet(labels)
+        alphabet = Alphabet(RELABELS[relabel](labels))
+        w = FiniteWord(alphabet, drawn.word(text).data)
+        req = [FiniteWord(alphabet, drawn.word(r).data) for r in required]
+        report = recurrence_stability(w, k, required=req)
+        assert report.to_tsv() == tsv_rows(report)
+
+
 def report_rows(w, k, required=()):
     report = recurrence_stability(w, k, required=required)
     return [

@@ -86,6 +86,15 @@ class TestGen:
         assert code == 0
         assert out == "111111111100\n"
 
+    @pytest.mark.parametrize("word", ["xqz", "0123456789"])  # translated, by arithmetic
+    @pytest.mark.parametrize("n", [cli.CHUNK - 1, cli.CHUNK, cli.CHUNK + 1])
+    def test_periodic_across_slice_edge(self, capsys, word, n):
+        code, out, _ = run_cli(
+            capsys, "gen", "--family", "periodic", "--word", word, "--length", str(n)
+        )
+        assert code == 0
+        assert out == "".join(itertools.islice(itertools.cycle(word), n)) + "\n"
+
     def test_matches_library_byte_for_byte(self, capsys):
         code, out, _ = run_cli(capsys, "gen", "--family", "paper", "--length", "3000")
         assert code == 0

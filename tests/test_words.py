@@ -32,6 +32,17 @@ EDGE_STARTS = (0, 9, 10, 9999, 10**4, 10**8 - 1, 10**8, 10**8 + 1,
                2**32 - 1, 2**32, 2**32 + 1, 10**12)
 
 
+@st.composite
+def progressions(draw):
+    """Printable one-character ASCII labels whose code points are c0 + d·i."""
+    n = draw(st.integers(1, 20))
+    reach = 93 // max(n - 1, 1)  # the code points stay within 33..126
+    d = draw(st.integers(-reach, reach).filter(bool))
+    span = d * (n - 1)
+    c0 = draw(st.integers(33 - min(span, 0), 126 - max(span, 0)))
+    return [chr(c0 + d * i) for i in range(n)]
+
+
 class TestAlphabet:
     def test_basic(self):
         a = Alphabet(("x", "y", "z"))
@@ -86,25 +97,47 @@ class TestFiniteWord:
                 unique=True,
             ),
             st.lists(st.sampled_from(ASCII_LABELS), min_size=1, unique=True),
+            progressions(),
         ),
         st.lists(st.integers(0, 255), max_size=200),
+        st.sampled_from(["uint8", "int64", "strided"]),
     )
-    @example(list(ASCII_LABELS), list(range(len(ASCII_LABELS))))
-    @example(["\x01", "\x7f", "\x00"], [1, 0, 2, 1])
-    @example(["ab", "c", "de"], [0, 1, 2, 2, 0])
-    @example(["é", "ü"], [1, 0, 1])  # one character each, but not ASCII
-    @example(["日本", "x", "\udcff"], [2, 0, 1, 2])  # a lone surrogate passes through
-    @example(["lo", "hi"], [])
-    @example(["0", "1"], [1, 0, 0, 1])
+    @example(list(ASCII_LABELS), list(range(len(ASCII_LABELS))), "uint8")
+    @example(["\x01", "\x7f", "\x00"], [1, 0, 2, 1], "uint8")
+    @example(["ab", "c", "de"], [0, 1, 2, 2, 0], "uint8")
+    @example(["é", "ü"], [1, 0, 1], "uint8")  # one character each, but not ASCII
+    @example(["日本", "x", "\udcff"], [2, 0, 1, 2], "uint8")  # a lone surrogate passes through
+    @example(["lo", "hi"], [], "uint8")
+    @example(["0", "1"], [1, 0, 0, 1], "uint8")
+    # Code points c0 + d·i, rendered by arithmetic.
+    @example(list("0123456789"), [9, 0, 5, 3, 8, 1], "uint8")
+    @example(list("abcde"), [4, 4, 0, 2, 1, 3], "strided")
+    @example(["1", "0"], [0, 1, 1, 0, 1], "uint8")  # descending
+    @example(["\x7f", "\x00"], [1, 0, 0, 1], "strided")  # d = -127
+    @example(["z"], [0, 0, 0], "uint8")  # one label
+    @example(["0", "1"], [1, 0, 0, 1, 1], "int64")  # as the delay machine's digits
+    @example(list("xqz"), [2, 0, 1, 1, 2], "int64")  # no progression: translated
     @settings(max_examples=200, deadline=None)
-    def test_render_matches_join(self, labels, picks):
+    def test_render_matches_join(self, labels, picks, layout):
         a = Alphabet(labels)
         data = np.array([p % len(labels) for p in picks], np.uint8)
         sep = "" if a.single_char else " "
         expected = sep.join(labels[i] for i in data)
-        assert render_symbols(a, data) == expected
+
+        def laid_out(arr):
+            if layout == "int64":
+                return arr.astype(np.int64)
+            return np.repeat(arr, 2)[::2] if layout == "strided" else arr
+
+        assert render_symbols(a, laid_out(data)) == expected
         assert FiniteWord(a, data).to_text() == expected
         assert np.array_equal(FiniteWord.from_text(a, expected).data, data)
+        if data.size and len(labels) < 256:
+            # A symbol past the alphabet raises on every rendering path.
+            bad = data.copy()
+            bad[len(bad) // 2] = len(labels) + picks[0] % (256 - len(labels))
+            with pytest.raises(AlphabetError, match="out of range"):
+                render_symbols(a, laid_out(bad))
 
     @given(
         st.lists(
