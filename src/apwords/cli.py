@@ -48,10 +48,10 @@ from .words import (
     _lookup,
     occurrences,
     parse_word,
-    render_spaced,
     render_starts,
     render_symbols,
-    spaced_tokens,
+    render_tokens,
+    token_table,
 )
 
 EXIT_OK = 0
@@ -236,7 +236,7 @@ def cmd_run(args, parser):
         parser.error("give exactly one of --machine, --delay-prepend")
     if [args.input, args.input_file, args.gen].count(None) < 2:
         parser.error("give at most one of --input, --input-file, --gen")
-    if args.machine:
+    if args.machine is not None:
         with open(args.machine, "r", encoding="utf-8") as fh:
             machine = parse_machine(fh.read())
     else:
@@ -265,12 +265,12 @@ def cmd_run(args, parser):
         keys = trace.state_index[:-1] * na + word.data
         taken = np.zeros(len(states) * na, bool)
         taken[keys] = taken[0] = True
-        tokens = spaced_tokens(
+        tokens = token_table(
             " ".join(["@" + states[t // na], *(labels[i] for i in machine._emit[t].tolist())])
             for t in np.flatnonzero(taken).tolist()
         )
         keys = (np.cumsum(taken) - 1)[keys]
-        _write(functools.partial(render_spaced, tokens), keys, " ")
+        _write(functools.partial(render_tokens, tokens), keys, " ")
     else:
         _write_word(trace.output.alphabet, trace.output.data)
     return EXIT_OK

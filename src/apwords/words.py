@@ -27,7 +27,7 @@ MAX_ALPHABET = 256
 class EmissionTable:
     """Words looked up by integer key: the emission store shared by
     transducers, homomorphisms, morphic sources and the rendering of
-    multi-character labels (internal).
+    labels that are not computed by arithmetic (internal).
 
     The words are kept as rows of a zero-padded ``(keys, width)`` uint8
     table, ``width`` the longest word's length, plus a mask of the valid
@@ -90,13 +90,12 @@ class EmissionTable:
 
         One loop over blocks of ``BLOCK_CELLS`` cells: each block's keys
         are cast to intp (numpy gathers by narrower keys through a buffered
-        cast), its rows and mask rows are gathered with ``take``, and its
-        valid cells are selected.  A uniform table writes its rows straight
-        into the output (``_gather``).  Native rows select with
-        ``np.compress``, whose intp index of the kept cells stays within the
-        block; ``np.void`` rows (over 8 bytes) keep the boolean selection,
-        which is faster there.  Keys are not checked: like ``_gather``, each
-        ``take`` clips, and every caller's keys index the table.
+        cast), its rows and mask rows are gathered with ``take``, and
+        ``np.compress`` keeps its valid cells (its intp index of the kept
+        cells stays within the block).  A uniform table writes its rows
+        straight into the output (``_gather``).  Keys are not checked: like
+        ``_gather``, each ``take`` clips, and every caller's keys index the
+        table.
         """
         if self._rows is None:
             return np.empty(0, np.uint8)
@@ -104,7 +103,6 @@ class EmissionTable:
         if self._cells is None:
             return _gather(self._rows, keys).view(np.uint8)
         rows, cells = self._rows, self._cells
-        native = rows.dtype.kind == "u"
         step = max(1, self.BLOCK_CELLS // rows.itemsize)
         parts = []
         # No keys still make one (empty) block.
@@ -112,7 +110,7 @@ class EmissionTable:
             idx = keys[a : a + step].astype(np.intp, copy=False)
             out = rows.take(idx, mode="clip").view(np.uint8)
             valid = cells.take(idx, mode="clip").view(bool)
-            parts.append(np.compress(valid, out) if native else out[valid])
+            parts.append(np.compress(valid, out))
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
@@ -144,21 +142,23 @@ def _gather(table: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return out
 
 
-def spaced_tokens(labels: Iterable[str]) -> EmissionTable:
-    """Token table of ``labels`` as UTF-8, each followed by one space.
+def token_table(labels: Iterable[str], sep: str = " ") -> EmissionTable:
+    """Token table of ``labels`` as UTF-8, each followed by the ASCII
+    separator ``sep`` ("" or " ").
 
     Lone surrogates (undecodable command-line bytes) pass through, so
-    ``render_spaced`` gives exactly the labels joined by single spaces.
+    ``render_tokens`` gives exactly the labels joined by ``sep``.
     """
     return EmissionTable(
-        np.frombuffer(f"{s} ".encode("utf-8", "surrogatepass"), np.uint8) for s in labels
+        np.frombuffer(f"{s}{sep}".encode("utf-8", "surrogatepass"), np.uint8) for s in labels
     )
 
 
-def render_spaced(tokens: EmissionTable, keys: np.ndarray) -> str:
-    """The labels of a ``spaced_tokens`` table under ``keys``, joined by
-    single spaces."""
-    return str(memoryview(tokens.expand(keys)[:-1]), "utf-8", "surrogatepass")
+def render_tokens(tokens: EmissionTable, keys: np.ndarray, sep: str = " ") -> str:
+    """The labels of a ``token_table(labels, sep)`` under ``keys``, joined
+    by ``sep``."""
+    out = tokens.expand(keys)
+    return str(memoryview(out[: out.shape[0] - len(sep)]), "utf-8", "surrogatepass")
 
 
 class Alphabet:
@@ -183,19 +183,15 @@ class Alphabet:
         # concatenated, others separated by single spaces.  When the 1-char
         # labels' code points are c0 + d·i (every alphabet of one or two
         # labels, runs such as 0…9 or a…z), ``_step`` is (d mod 256, c0) and
-        # a symbol's byte is computed in uint8; other 1-char labels go
-        # through the ``bytes.translate`` table ``_render``, the rest through
-        # its spaced token table.
+        # a symbol's byte is computed in uint8; every other alphabet renders
+        # through its token table ``_render``, built only then.
         self._step = self._render = None
-        if self._single_char:
-            points = [ord(s) for s in labels]
-            d = points[1] - points[0] if len(points) > 1 else 1
-            if points == list(range(points[0], points[0] + d * len(points), d)):
-                self._step = (d % 256, points[0])
-            else:
-                self._render = bytes(points).ljust(256, b"\0")
+        points = [ord(s) for s in labels] if self._single_char else []
+        d = points[1] - points[0] if len(points) > 1 else 1
+        if points and points == list(range(points[0], points[0] + d * len(points), d)):
+            self._step = (d % 256, points[0])
         else:
-            self._render = spaced_tokens(labels)
+            self._render = token_table(labels, "" if self._single_char else " ")
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -245,12 +241,7 @@ class FiniteWord:
     __slots__ = ("_alphabet", "_data")
 
     def __init__(self, alphabet: Alphabet, data):
-        arr = np.asarray(data, dtype=np.uint8)
-        if arr.ndim != 1:
-            raise ValueError("word data must be one-dimensional")
-        if arr.size and int(arr.max()) >= len(alphabet):
-            raise AlphabetError("symbol index out of range for alphabet")
-        arr = arr.copy()
+        arr = _indices(alphabet, data, copy=True)
         arr.flags.writeable = False
         self._alphabet = alphabet
         self._data = arr
@@ -354,36 +345,43 @@ def _encode(alphabet: Alphabet, symbols, codes: np.ndarray | None = None) -> np.
     return codes.astype(np.uint8)
 
 
+def _indices(alphabet: Alphabet, data, copy: bool = False) -> np.ndarray:
+    """``data`` as uint8 symbol indices of ``alphabet``, checked before the
+    cast: ValueError unless it is one-dimensional integers or bools (or
+    empty), AlphabetError for a value outside 0..|A|-1.  Unsigned data
+    takes one max-reduce, signed data a min-reduce as well."""
+    arr = np.asarray(data)
+    if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "biu"):
+        raise ValueError("word data must be one-dimensional integers")
+    low = int(np.minimum.reduce(arr)) if arr.size and arr.dtype.kind == "i" else 0
+    if arr.size and (low < 0 or int(np.maximum.reduce(arr)) >= len(alphabet)):
+        raise AlphabetError("symbol index out of range for alphabet")
+    return arr.astype(np.uint8, copy=copy)
+
+
 def render_symbols(alphabet: Alphabet, data: np.ndarray) -> str:
     """Render an index array as label text (see FiniteWord.from_text).
 
-    The indices are cast to uint8 and checked by one max-reduce: an index
-    past the alphabet raises AlphabetError.  One-character labels whose
-    code points form a progression (``Alphabet._step``) are one uint8
-    multiply-add into a new array (an add when d = 1), decoded in place;
-    other one-character labels pass through the alphabet's
-    ``bytes.translate`` table.  Other labels expand through its spaced
-    token table (``render_spaced``).  On 10^7 binary symbols the add path
-    takes 2.9-3.7 ms in 2^20-symbol slices and 11-13 ms in one call,
-    against 13.5-14.4 and 33-35 ms through ``translate`` (2 vCPU, numpy
-    2.4); on a 12-symbol word it costs about 3 µs against 0.4 µs, so
-    callers that render many short words render them at once
-    (``render_each``).
+    The indices are checked and cast to uint8 (``_indices``).  One-character
+    labels whose code points form a progression (``Alphabet._step``) are
+    one uint8 multiply-add into a new array (an add when d = 1), decoded in
+    place.  Every other alphabet expands through its token table
+    (``render_tokens``): unseparated one-character ASCII labels, the rest
+    joined by single spaces.  On 10^7 binary symbols the add path takes
+    2.9-3.7 ms in 2^20-symbol slices and 11-13 ms in one call (2 vCPU, numpy
+    2.4); on a 12-symbol word it costs about 3 µs, so callers that render
+    many short words render them at once (``render_each``).
     """
-    codes = np.asarray(data, np.uint8)
-    if codes.size and int(np.maximum.reduce(codes)) >= len(alphabet):
-        raise AlphabetError("symbol index out of range for alphabet")
-    if alphabet._step is not None:
-        d, c0 = alphabet._step
-        if d == 1:
-            buf = codes + c0
-        else:
-            buf = codes * d
-            buf += c0
-        return str(memoryview(buf), "ascii")
-    if alphabet.single_char:
-        return codes.tobytes().translate(alphabet._render).decode("ascii")
-    return render_spaced(alphabet._render, codes)
+    codes = _indices(alphabet, data)
+    if alphabet._step is None:
+        return render_tokens(alphabet._render, codes, "" if alphabet.single_char else " ")
+    d, c0 = alphabet._step
+    if d == 1:
+        buf = codes + c0
+    else:
+        buf = codes * d
+        buf += c0
+    return str(memoryview(buf), "ascii")
 
 
 def render_each(words: Sequence[FiniteWord]) -> list[str]:
