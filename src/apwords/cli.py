@@ -92,13 +92,18 @@ def _relabel(word: FiniteWord, alphabet: Alphabet) -> FiniteWord:
     return FiniteWord._wrap(alphabet, _encode(alphabet, word, codes))
 
 
+def _tau(path: str | None):
+    """The tau table of the file at ``path``; None (the default counts)
+    when no path is given.  An empty path is a path: it does not open."""
+    return None if path is None else load_tau_table(path)
+
+
 def _family_source(family: str, arg: str | None, seed: str | None):
     """The source of a generator family: 'paper' with an optional tau
     file, 'periodic' with its period word, 'morphic' with its rules file
     and seed symbol."""
     if family == "paper":
-        tau = load_tau_table(arg) if arg else None
-        return CounterexampleFamily(tau=tau).source()
+        return CounterexampleFamily(tau=_tau(arg)).source()
     if family == "periodic":
         return periodic_source(parse_word(arg))
     return morphic_source(load_morphism_rules(arg), seed)
@@ -107,18 +112,19 @@ def _family_source(family: str, arg: str | None, seed: str | None):
 def _build_source(spec: str):
     """Build a source from a generator spec: 'paper', 'paper:TAUFILE',
     'periodic:WORD' or 'morphic:RULESFILE:SEED'."""
-    kind, _, rest = spec.partition(":")
+    kind, colon, rest = spec.partition(":")
     seed = None
     if kind == "periodic" and not rest:
         raise FormatError("periodic spec needs a period word: periodic:WORD")
     if kind == "morphic":
         # Seeds are one character (rule symbols are); the path may hold colons.
-        rest, colon, seed = rest[:-2], rest[-2:-1], rest[-1:]
-        if not rest or colon != ":":
+        rest, sep, seed = rest[:-2], rest[-2:-1], rest[-1:]
+        if not rest or sep != ":":
             raise FormatError("morphic spec needs morphic:RULESFILE:SEED (one-symbol SEED)")
     elif kind not in ("paper", "periodic"):
         raise FormatError(f"unknown generator family {kind!r}")
-    return _family_source(kind, rest, seed)
+    # A spec names a path only after a colon: 'paper:' names the empty one.
+    return _family_source(kind, rest if colon else None, seed)
 
 
 def _input_word(args, parser) -> FiniteWord:
@@ -285,10 +291,10 @@ def cmd_decompose(args, parser):
     auto_text = format_machine(automaton)
     hom_text = format_homomorphism(hom)
     for path, text in ((args.automaton_out, auto_text), (args.homomorphism_out, hom_text)):
-        if path:
+        if path is not None:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
-    if not (args.automaton_out or args.homomorphism_out):
+    if args.automaton_out is None and args.homomorphism_out is None:
         sys.stdout.write(f"{auto_text}\n{hom_text}")
     return EXIT_OK
 
@@ -316,7 +322,7 @@ def cmd_cut_search(args, parser):
 def cmd_verify_thm1(args, parser):
     if args.max_n < 1:
         parser.error("--max-n must be >= 1")
-    tau = load_tau_table(args.tau_file) if args.tau_file else None
+    tau = _tau(args.tau_file)
     if args.tamper_index is not None:
         fam = _TamperedFamily(args.tamper_index, tau=tau)
     else:

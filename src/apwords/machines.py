@@ -66,27 +66,27 @@ class RunTrace:
 
 
 def _emissions(words, alphabet: Alphabet) -> EmissionTable:
-    """The table of ``words``, each a FiniteWord or a sequence of labels
-    over ``alphabet``.  The label sequences are encoded in one pass; the
-    first symbol ``alphabet`` lacks raises AlphabetError naming it and its
-    position in its word."""
-    lengths = np.fromiter(map(len, words), np.int64, len(words))
-    spelled = [w for w in words if not isinstance(w, FiniteWord)]
+    """The table of ``words``, each a FiniteWord over ``alphabet`` (one over
+    another alphabet raises AlphabetError) or a sequence of labels.  Each
+    FiniteWord is read as its labels, and the labels of all the words are
+    encoded in one ``_lookup`` pass, not one per word, whose fixed cost a
+    dict of many short emissions would pay each time; the first symbol
+    ``alphabet`` lacks raises AlphabetError naming it and its position in
+    its word."""
+    labels = alphabet.labels
+    spelled = []
+    for w in words:
+        if isinstance(w, FiniteWord):
+            if w.alphabet != alphabet:
+                raise AlphabetError(f"emission {w!r} over wrong alphabet")
+            w = [labels[i] for i in w.data.tolist()]
+        spelled.append(w)
     codes = _lookup(alphabet, list(chain.from_iterable(spelled)))
     if (codes < 0).any():
         for w in spelled:
             _encode(alphabet, w)
-    cells = codes.astype(np.uint8)
-    if len(spelled) < len(words):
-        given = [w for w in words if isinstance(w, FiniteWord)]
-        for w in given:
-            if w.alphabet != alphabet:
-                raise AlphabetError(f"emission {w!r} over wrong alphabet")
-        in_spelled = np.repeat([not isinstance(w, FiniteWord) for w in words], lengths)
-        cells = np.empty(in_spelled.shape[0], np.uint8)
-        cells[in_spelled] = codes
-        cells[~in_spelled] = np.concatenate([np.empty(0, np.uint8), *(w.data for w in given)])
-    return EmissionTable.from_cells(lengths, cells)
+    lengths = np.fromiter(map(len, spelled), np.int64, len(spelled))
+    return EmissionTable.from_cells(lengths, codes.astype(np.uint8))
 
 
 def _one_symbol_table(codes: np.ndarray) -> EmissionTable:
@@ -335,8 +335,8 @@ def delay_prepend_automaton(a: FiniteWord) -> MealyMachine:
     return MealyMachine._from_tables(alph, alph, labels, 0, next_state, emit)
 
 
-def reachable_states(machine) -> tuple[str, ...]:
-    """States reachable from the initial state, in BFS order."""
+def _reachable(machine) -> list[int]:
+    """Indices of the states reachable from the initial state, in BFS order."""
     rows = machine._next.tolist()
     order = [machine._initial_idx]
     seen = set(order)
@@ -345,7 +345,7 @@ def reachable_states(machine) -> tuple[str, ...]:
             if q2 not in seen:
                 seen.add(q2)
                 order.append(q2)
-    return tuple(machine.states[q] for q in order)
+    return order
 
 
 def decompose_transducer(transducer: Transducer) -> tuple[MealyMachine, Homomorphism]:
@@ -358,8 +358,8 @@ def decompose_transducer(transducer: Transducer) -> tuple[MealyMachine, Homomorp
 
     For every input w: h(run_mealy(F, w).output) == run_transducer(T, w).output.
     """
-    states = reachable_states(transducer)
-    reach = np.array([transducer._state_idx[q] for q in states])
+    reach = np.array(_reachable(transducer))
+    states = [transducer.states[q] for q in reach.tolist()]
     inputs = transducer.input_alphabet
     pairs = Alphabet(f"{q},{a}" for q in states for a in inputs)
     rank = np.empty(len(transducer.states), np.int64)
@@ -376,24 +376,27 @@ def decompose_transducer(transducer: Transducer) -> tuple[MealyMachine, Homomorp
 def output_infinite_check(h: Homomorphism, source: InfiniteWordSource, budget: int) -> str:
     """Heuristic tri-state check whether h applied to the source yields an
     infinite word.  Only the length-`budget` prefix is scanned; the answer
-    never claims more than that prefix can witness."""
+    never claims more than that prefix can witness.
+
+    Call a symbol emitting when its image is nonempty, and the prefix's
+    second half its symbols from index ``budget // 2`` on.  The answer is
+    INFINITE_EVIDENT when every symbol is emitting (no scan) or when an
+    emitting symbol occurs at least twice, once in the second half;
+    FINITE_SO_FAR when no emitting symbol occurs in the second half; and
+    UNKNOWN otherwise.  Two bincounts of the prefix, its symbol counts and
+    its second half's, give all three."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
     if source.alphabet != h.source:
         raise AlphabetError("source is not over the homomorphism's source alphabet")
-    lengths = h.image_lengths()
-    if np.all(lengths > 0):
+    emitting = h.image_lengths() > 0
+    if emitting.all():
         return INFINITE_EVIDENT
     data = source.prefix_array(budget)
-    emitting = _gather(lengths > 0, data)
-    half = budget // 2
-    for s in np.unique(data[emitting]):
-        pos = np.nonzero(data == s)[0]
-        if pos.size >= 2 and int(pos[-1]) >= half:
-            return INFINITE_EVIDENT
-    if not np.any(emitting[half:]):
-        return FINITE_SO_FAR
-    return UNKNOWN
+    late = emitting & (np.bincount(data[budget // 2 :], minlength=emitting.size) > 0)
+    if (late & (np.bincount(data, minlength=emitting.size) >= 2)).any():
+        return INFINITE_EVIDENT
+    return UNKNOWN if late.any() else FINITE_SO_FAR
 
 
 # ---------------------------------------------------------------------------

@@ -176,3 +176,20 @@ def omega_prefix(u, v, n):
     """The first n symbols of u·v^ω, or all of u when v is empty."""
     reps = -(-max(n - len(u), 0) // len(v)) if v else 0
     return (u + v * reps)[:n]
+
+
+def naive_output_infinite_check(h, source, budget):
+    """The infinite-output check by its first definition, one scan of the
+    prefix per emitting symbol (oracle for ``output_infinite_check``)."""
+    lengths = h.image_lengths().tolist()
+    if all(n > 0 for n in lengths):
+        return "infinite-evident"
+    data = source.prefix_array(budget).tolist()
+    half = budget // 2
+    for s in sorted({s for s in data if lengths[s] > 0}):
+        pos = [i for i, t in enumerate(data) if t == s]
+        if len(pos) >= 2 and pos[-1] >= half:
+            return "infinite-evident"
+    if not any(lengths[s] > 0 for s in data[half:]):
+        return "finite-so-far"
+    return "unknown"

@@ -4,8 +4,8 @@
 
 Each row of the table is one call of ``apwords.cli.main`` and pins what the
 call gives: its argv (as JSON), exit code, stdout length in UTF-8 bytes and
-stdout sha256, then the length and sha256 of each file the call writes.  An
-argv names its input files ``{in}/NAME`` (written from ``FILES``) and its
+stdout sha256, then the length and sha256 of each output file the call
+names (``absent`` for one it does not write).  An argv names its input files ``{in}/NAME`` (written from ``FILES``) and its
 output files ``{out}/NAME``; ``test_golden.py`` and this script put both in
 fresh directories.  A change that alters an output on purpose reruns this
 script and names each changed row in CHANGES.md.
@@ -95,6 +95,8 @@ OPS = [
     ["gen", "--family", "morphic", "--rules", "{in}/long.rules", "--seed", "a", "--length", "5000"],
     ["gen", "--family", "morphic", "--rules", "{in}/xqz.rules", "--seed", "x", "--length", "5000"],
     ["gen", "--family", "paper", "--word", "01", "--length", "10"],
+    # an empty path is a missing file
+    ["gen", "--family", "paper", "--tau-file", "", "--length", "10"],
     # occ
     ["occ", "--pattern", "10011", *PAPER, "100000"],
     ["occ", "--pattern", A2, *TAU, "100000"],
@@ -106,6 +108,7 @@ OPS = [
     ["occ", "--pattern", "0é", "--word", "0é0日0é"],
     ["occ", "--pattern", "2", "--word", "0110"],
     ["occ", "--pattern", "10011", *PAPER, "-5"],
+    ["occ", "--pattern", "10011", "--gen", "paper:", "--length", "1000"],
     # minwindow and window
     ["minwindow", "--pattern", "10011", *PAPER, "100000"],
     ["minwindow", "--pattern", "0000", *PAPER, "10000"],
@@ -157,6 +160,9 @@ OPS = [
      "--automaton-out", "{out}/long.auto", "--homomorphism-out", "{out}/long.hom"],
     ["decompose", "--machine", "{in}/multi.machine"],
     ["decompose", "--machine", "{in}/toggle.machine"],
+    ["decompose", "--machine", "{in}/trans.machine", "--automaton-out", ""],
+    ["decompose", "--machine", "{in}/trans.machine",
+     "--automaton-out", "", "--homomorphism-out", "{out}/unwritten.hom"],
     # verify-thm1: passing, tampered, a short horizon and past the budget
     ["verify-thm1", "--max-n", "1", "--horizon", "2000"],
     ["verify-thm1", "--max-n", "2", "--horizon", "20000", "--tau-file", "{in}/tau.txt"],
@@ -164,6 +170,7 @@ OPS = [
     ["verify-thm1", "--max-n", "2", "--horizon", "100"],
     ["verify-thm1", "--max-n", "5", "--horizon", "100"],
     ["verify-thm1", "--max-n", "0"],
+    ["verify-thm1", "--max-n", "1", "--horizon", "2000", "--tau-file", ""],
 ]
 
 
@@ -194,9 +201,9 @@ def run_op(argv: list[str], indir: Path, outdir: Path) -> str:
     code, out, _ = call(argv)
     stdout = _digest(out.encode("utf-8", "surrogatepass"), "\t")
     files = " ".join(
-        f"{Path(p).name}:{_digest(Path(p).read_bytes(), ':')}"
-        for p in argv
-        if p.startswith(str(outdir))
+        f"{p.name}:{_digest(p.read_bytes(), ':') if p.exists() else 'absent'}"
+        for p in map(Path, argv)
+        if str(p).startswith(str(outdir))
     )
     return f"{code}\t{stdout}\t{files or '-'}"
 

@@ -612,7 +612,7 @@ class TestStabilityOracle:
 
 # Label sets a stability case is rendered with, by the index of each
 # drawn label: as drawn (code points in progression), scrambled
-# (translated), multi-character and non-ASCII (spaced).
+# (token table), multi-character and non-ASCII (spaced).
 SCRAMBLED = "xqz0~a!Q9m#Kb?^w("
 RELABELS = {
     "drawn": lambda labels: list(labels),

@@ -86,7 +86,7 @@ class TestGen:
         assert code == 0
         assert out == "111111111100\n"
 
-    @pytest.mark.parametrize("word", ["xqz", "0123456789"])  # translated, by arithmetic
+    @pytest.mark.parametrize("word", ["xqz", "0123456789"])  # token table, by arithmetic
     @pytest.mark.parametrize("n", [cli.CHUNK - 1, cli.CHUNK, cli.CHUNK + 1])
     def test_periodic_across_slice_edge(self, capsys, word, n):
         code, out, _ = run_cli(

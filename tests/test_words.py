@@ -116,7 +116,7 @@ class TestFiniteWord:
     @example(["\x7f", "\x00"], [1, 0, 0, 1], "strided")  # d = -127
     @example(["z"], [0, 0, 0], "uint8")  # one label
     @example(["0", "1"], [1, 0, 0, 1, 1], "int64")  # as the delay machine's digits
-    @example(list("xqz"), [2, 0, 1, 1, 2], "int64")  # no progression: translated
+    @example(list("xqz"), [2, 0, 1, 1, 2], "int64")  # no progression: token table
     @settings(max_examples=200, deadline=None)
     def test_render_matches_join(self, labels, picks, layout):
         a = Alphabet(labels)
