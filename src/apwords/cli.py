@@ -9,7 +9,9 @@ Long outputs (``gen``, ``occ``, ``run``) are written in slices by ``_write``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import os
 import sys
 
 import numpy as np
@@ -33,6 +35,7 @@ from .generators import (
 )
 from .machines import (
     MealyMachine,
+    _read,
     decompose_transducer,
     delay_prepend_automaton,
     format_homomorphism,
@@ -76,6 +79,8 @@ class _TamperedFamily(CounterexampleFamily):
     def __init__(self, index, **kwargs):
         super().__init__(**kwargs)
         self.tamper_index = int(index)
+        if self.tamper_index < 0:
+            raise ValueError(f"tamper index must be >= 0, got {self.tamper_index}")
 
     def prefix_array(self, length):
         arr = super().prefix_array(length)
@@ -92,10 +97,14 @@ def _relabel(word: FiniteWord, alphabet: Alphabet) -> FiniteWord:
     return FiniteWord._wrap(alphabet, _encode(alphabet, word, codes))
 
 
-def _tau(path: str | None):
-    """The tau table of the file at ``path``; None (the default counts)
-    when no path is given.  An empty path is a path: it does not open."""
-    return None if path is None else load_tau_table(path)
+def _family(tau_path: str | None, tamper_index: int | None = None) -> CounterexampleFamily:
+    """The paper's family with the tau table of the file at ``tau_path``
+    (None: the default counts; an empty path is a path and does not
+    open), tampered at ``tamper_index`` when one is given."""
+    tau = None if tau_path is None else load_tau_table(tau_path)
+    if tamper_index is None:
+        return CounterexampleFamily(tau=tau)
+    return _TamperedFamily(tamper_index, tau=tau)
 
 
 def _family_source(family: str, arg: str | None, seed: str | None):
@@ -103,7 +112,7 @@ def _family_source(family: str, arg: str | None, seed: str | None):
     file, 'periodic' with its period word, 'morphic' with its rules file
     and seed symbol."""
     if family == "paper":
-        return CounterexampleFamily(tau=_tau(arg)).source()
+        return _family(arg).source()
     if family == "periodic":
         return periodic_source(parse_word(arg))
     return morphic_source(load_morphism_rules(arg), seed)
@@ -136,8 +145,7 @@ def _input_word(args, parser) -> FiniteWord:
         return word
     if args.word is not None:
         return parse_word(args.word)
-    with open(args.word_file, "r", encoding="utf-8") as fh:
-        return parse_word(fh.read())
+    return parse_word(_read(args.word_file))
 
 
 def _generated_word(args, parser) -> FiniteWord | None:
@@ -196,7 +204,7 @@ def cmd_gen(args, parser):
             parser.error(f"--family {args.family} does not read --{name.replace('_', '-')}")
     if args.family == "periodic" and not args.word:
         parser.error("--family periodic needs --word")
-    if args.family == "morphic" and not (args.rules and args.seed):
+    if args.family == "morphic" and (args.rules is None or not args.seed):
         parser.error("--family morphic needs --rules and --seed")
     src = _family_source(args.family, getattr(args, options[0]), args.seed)
     if args.length < 1:
@@ -243,8 +251,7 @@ def cmd_run(args, parser):
     if [args.input, args.input_file, args.gen].count(None) < 2:
         parser.error("give at most one of --input, --input-file, --gen")
     if args.machine is not None:
-        with open(args.machine, "r", encoding="utf-8") as fh:
-            machine = parse_machine(fh.read())
+        machine = parse_machine(_read(args.machine))
     else:
         machine = delay_prepend_automaton(parse_word(args.delay_prepend))
     word = _generated_word(args, parser)
@@ -256,8 +263,7 @@ def cmd_run(args, parser):
         if args.input is not None:
             text = args.input
         elif args.input_file is not None:
-            with open(args.input_file, "r", encoding="utf-8") as fh:
-                text = fh.read()
+            text = _read(args.input_file)
         else:
             text = sys.stdin.read()
         word = FiniteWord.from_text(machine.input_alphabet, text)
@@ -283,20 +289,41 @@ def cmd_run(args, parser):
 
 
 def cmd_decompose(args, parser):
-    with open(args.machine, "r", encoding="utf-8") as fh:
-        machine = parse_machine(fh.read())
+    machine = parse_machine(_read(args.machine))
     if isinstance(machine, MealyMachine):
         raise FormatError("decompose expects a transducer definition")
     automaton, hom = decompose_transducer(machine)
     auto_text = format_machine(automaton)
     hom_text = format_homomorphism(hom)
-    for path, text in ((args.automaton_out, auto_text), (args.homomorphism_out, hom_text)):
-        if path is not None:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
     if args.automaton_out is None and args.homomorphism_out is None:
         sys.stdout.write(f"{auto_text}\n{hom_text}")
+    else:
+        _write_files([(args.automaton_out, auto_text), (args.homomorphism_out, hom_text)])
     return EXIT_OK
+
+
+def _write_files(outputs) -> None:
+    """Write each ``(path, text)`` of ``outputs`` whose path is not None,
+    or none of them.  Every file is opened, for append so that an existing
+    one keeps its bytes, before any is truncated and written; when one does
+    not open, or two paths name one file, the files this call created are
+    removed."""
+    outputs = [(path, text) for path, text in outputs if path is not None]
+    created = [path for path, _ in outputs if not os.path.lexists(path)]
+    with contextlib.ExitStack() as stack:
+        try:
+            files = [stack.enter_context(open(path, "a", encoding="utf-8")) for path, _ in outputs]
+            if len({os.path.realpath(path) for path, _ in outputs}) < len(files):
+                raise ValueError("--automaton-out and --homomorphism-out name one file")
+        except (OSError, ValueError):
+            for path in created:
+                if os.path.lexists(path):
+                    os.remove(path)
+            raise
+        for fh, (_, text) in zip(files, outputs):
+            fh.seek(0)
+            fh.truncate()
+            fh.write(text)
 
 
 def _required(args, w: FiniteWord) -> list[FiniteWord]:
@@ -320,13 +347,7 @@ def cmd_cut_search(args, parser):
 
 
 def cmd_verify_thm1(args, parser):
-    if args.max_n < 1:
-        parser.error("--max-n must be >= 1")
-    tau = _tau(args.tau_file)
-    if args.tamper_index is not None:
-        fam = _TamperedFamily(args.tamper_index, tau=tau)
-    else:
-        fam = CounterexampleFamily(tau=tau)
+    fam = _family(args.tau_file, args.tamper_index)
     try:
         checks = analysis.verify_theorem1(fam, args.max_n, args.horizon)
     except InsufficientDataError as e:

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import AlphabetError, BudgetError, FormatError
-from .machines import Homomorphism, _content_lines, _emission_word, _image_lines
+from .machines import Homomorphism, _content_lines, _emission_word, _image_lines, _read
 from .sources import DEFAULT_BUDGET, InfiniteWordSource, MorphicSource, PeriodicSource
 from .words import BINARY, Alphabet, FiniteWord
 
@@ -176,10 +176,8 @@ def tau_from_table(rows: Sequence[int], default: int = 10) -> Callable[[int], in
 def load_tau_table(path) -> Callable[[int], int]:
     """Read a tau table file: one repetition count (9 or 10) per line, '#'
     comments."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = _content_lines(fh.read())
     rows = []
-    for no, text in lines:
+    for no, text in _content_lines(_read(path)):
         try:
             rows.append(int(text))
         except ValueError:
@@ -193,8 +191,7 @@ def load_morphism_rules(path) -> Homomorphism:
     """Read a rules file: one `<symbol> -> <image word>` line per rule,
     '#' comments.  The alphabet is the rule symbols in file order; every
     character of an image is a symbol (`-` too)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        rules = _image_lines(_content_lines(fh.read()))
+    rules = _image_lines(_content_lines(_read(path)))
     if not rules:
         raise FormatError("no rules in morphism file")
     try:

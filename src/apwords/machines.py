@@ -453,6 +453,13 @@ def _header_alphabet(lines, lineno, key) -> Alphabet:
         raise FormatError(str(e), line=no) from e
 
 
+def _read(path) -> str:
+    """The whole text of the UTF-8 file at ``path``: every file the
+    program reads comes through here."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
+
+
 def _content_lines(text: str):
     out = []
     for no, raw in enumerate(text.splitlines(), start=1):

@@ -97,6 +97,7 @@ OPS = [
     ["gen", "--family", "paper", "--word", "01", "--length", "10"],
     # an empty path is a missing file
     ["gen", "--family", "paper", "--tau-file", "", "--length", "10"],
+    ["gen", "--family", "morphic", "--rules", "", "--seed", "0", "--length", "10"],
     # occ
     ["occ", "--pattern", "10011", *PAPER, "100000"],
     ["occ", "--pattern", A2, *TAU, "100000"],
@@ -163,10 +164,16 @@ OPS = [
     ["decompose", "--machine", "{in}/trans.machine", "--automaton-out", ""],
     ["decompose", "--machine", "{in}/trans.machine",
      "--automaton-out", "", "--homomorphism-out", "{out}/unwritten.hom"],
+    # all outputs or none: a second path that does not open, one file named twice
+    ["decompose", "--machine", "{in}/trans.machine",
+     "--automaton-out", "{out}/unwritten.auto", "--homomorphism-out", ""],
+    ["decompose", "--machine", "{in}/trans.machine",
+     "--automaton-out", "{out}/same", "--homomorphism-out", "{out}/same"],
     # verify-thm1: passing, tampered, a short horizon and past the budget
     ["verify-thm1", "--max-n", "1", "--horizon", "2000"],
     ["verify-thm1", "--max-n", "2", "--horizon", "20000", "--tau-file", "{in}/tau.txt"],
     ["verify-thm1", "--max-n", "1", "--horizon", "2000", "--tamper-index", "5"],
+    ["verify-thm1", "--max-n", "1", "--horizon", "2000", "--tamper-index", "-2000"],
     ["verify-thm1", "--max-n", "2", "--horizon", "100"],
     ["verify-thm1", "--max-n", "5", "--horizon", "100"],
     ["verify-thm1", "--max-n", "0"],
