@@ -13,7 +13,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from . import _kernels
-from .errors import AlphabetError, BudgetError, EmptyPatternError, InsufficientDataError
+from .errors import AlphabetError, BudgetError, InsufficientDataError
 from .generators import CounterexampleFamily
 from .words import FiniteWord, _check_pattern, render_each
 
@@ -148,6 +148,7 @@ def check_window(x: FiniteWord, w: FiniteWord, window_length: int) -> int | None
     The scan runs stretch by stretch (``_kernels._stretches``) and stops at
     the first stretch that shows a violation, so a word that fails early
     is not scanned to its end."""
+    _check_pattern(x, w)
     if window_length < 1:
         raise ValueError(f"window length must be >= 1, got {window_length}")
     if window_length > len(w):
@@ -155,7 +156,6 @@ def check_window(x: FiniteWord, w: FiniteWord, window_length: int) -> int | None
             f"window length {window_length} exceeds the available prefix ({len(w)})",
             required=window_length,
         )
-    _check_pattern(x, w)
     if window_length < len(x):
         return 0
     # Window [i, i+l-1] contains x iff some start p satisfies i <= p <= i+l-|x|.
@@ -402,10 +402,7 @@ def recurrence_stability(
     n, half, data, alphabet = len(w), len(w) // 2, w.data, w.alphabet
     unlisted = {}
     for r in required:
-        if r.alphabet != alphabet:
-            raise AlphabetError("required factor over a different alphabet")
-        if len(r) == 0:
-            raise EmptyPatternError("required factor must be nonempty")
+        _check_pattern(r, w)
         unlisted.setdefault(r.data.tobytes(), r.data)
     sigma = len(alphabet)
     shift = _packed_shift(half, sigma)

@@ -22,7 +22,6 @@ from .errors import (
     AlphabetError,
     ApwordsError,
     BudgetError,
-    EmptyPatternError,
     FormatError,
     InsufficientDataError,
 )
@@ -214,12 +213,9 @@ def cmd_gen(args, parser):
 
 
 def _pattern_and_word(args, parser) -> tuple[FiniteWord, FiniteWord]:
-    """``--pattern``, nonempty, over the alphabet of the input word."""
+    """``--pattern`` over the alphabet of the input word, and that word."""
     w = _input_word(args, parser)
-    x = FiniteWord.from_text(w.alphabet, args.pattern)
-    if len(x) == 0:
-        raise EmptyPatternError("pattern must be nonempty")
-    return x, w
+    return FiniteWord.from_text(w.alphabet, args.pattern), w
 
 
 def cmd_occ(args, parser):
@@ -363,6 +359,7 @@ def cmd_verify_thm1(args, parser):
 
 @functools.cache
 def build_parser():
+    """The top-level parser and each verb's parser, by verb."""
     parser = argparse.ArgumentParser(
         prog="apwords",
         description="Generate and analyze almost-periodic infinite words, "
@@ -422,17 +419,18 @@ def build_parser():
     p.add_argument("--tau-file")
     p.add_argument("--tamper-index", type=int, help=argparse.SUPPRESS)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None):
-    parser = build_parser()
+    parser, verbs = build_parser()
     args = parser.parse_args(argv)
     # Looked up on each call, not bound into the cached parser, so that a
     # function replaced on this module (a tracer's wrapper) is what runs.
+    # It gets its verb's parser, whose usage errors print that verb's usage.
     command = globals()["cmd_" + args.verb.replace("-", "_")]
     try:
-        return command(args, parser)
+        return command(args, verbs[args.verb])
     except (ApwordsError, OSError, ValueError) as e:
         msg = str(e)
         if isinstance(e, FormatError) and e.line:

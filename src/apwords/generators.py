@@ -166,11 +166,11 @@ def thue_morse_source(budget: int = DEFAULT_BUDGET) -> MorphicSource:
     return morphic_source(rules, "0", budget)
 
 
-def tau_from_table(rows: Sequence[int], default: int = 10) -> Callable[[int], int]:
+def tau_from_table(rows: Sequence[int]) -> Callable[[int], int]:
     """Total tau from an explicit finite table; indices beyond the table
-    fall back to `default`."""
+    are 10."""
     table = [int(r) for r in rows]
-    return lambda n: table[n] if n < len(table) else default
+    return lambda n: table[n] if n < len(table) else 10
 
 
 def load_tau_table(path) -> Callable[[int], int]:

@@ -305,9 +305,6 @@ class FiniteWord:
     def to_text(self) -> str:
         return render_symbols(self._alphabet, self._data)
 
-    def is_empty(self) -> bool:
-        return self._data.shape[0] == 0
-
 
 def _lookup(alphabet: Alphabet, tokens: str | Sequence[str]) -> np.ndarray:
     """Indices of ``tokens`` in ``alphabet`` (int16, -1 for a symbol it
@@ -505,28 +502,30 @@ def occurrences(x: FiniteWord, w: FiniteWord) -> np.ndarray:
     return _kernels.find_occurrences(w.data, x.data)
 
 
-def format_word(w: FiniteWord, header: bool = True) -> str:
-    """Serialize a word: optional 'alphabet:' header line plus one word line."""
-    lines = []
-    if header:
-        lines.append("alphabet: " + " ".join(w.alphabet.labels))
-    lines.append(w.to_text())
-    return "\n".join(lines) + "\n"
+def format_word(w: FiniteWord) -> str:
+    """Serialize a word: an 'alphabet:' header line plus one word line.  A
+    word line starting with '#' would read back as a comment, so a word
+    whose first label starts with '#' raises FormatError."""
+    text = w.to_text()
+    if text.startswith("#"):
+        raise FormatError(
+            f"word label {w[0]!r} cannot be written first: a word line starting "
+            "with '#' reads back as a comment"
+        )
+    return f"alphabet: {' '.join(w.alphabet.labels)}\n{text}\n"
 
 
-def parse_word(text: str, alphabet: Alphabet | None = None) -> FiniteWord:
+def parse_word(text: str) -> FiniteWord:
     """Parse serialized word text.
 
     An ``alphabet: ...`` header line declares the alphabet; without one the
-    alphabet is either the caller-supplied one or inferred from the sorted
-    distinct symbols of the word line.
+    alphabet is inferred from the sorted distinct symbols of the word line.
     """
     numbered = [(no, ln.strip()) for no, ln in enumerate(text.splitlines(), start=1)]
     numbered = [(no, ln) for no, ln in numbered if ln and not ln.startswith("#")]
     if not numbered:
-        if alphabet is None:
-            raise FormatError("empty word input and no alphabet given")
-        return FiniteWord(alphabet, [])
+        raise FormatError("empty word input")
+    alphabet = None
     if numbered[0][1].startswith("alphabet:"):
         no, header = numbered.pop(0)
         try:

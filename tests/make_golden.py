@@ -110,6 +110,9 @@ OPS = [
     ["occ", "--pattern", "2", "--word", "0110"],
     ["occ", "--pattern", "10011", *PAPER, "-5"],
     ["occ", "--pattern", "10011", "--gen", "paper:", "--length", "1000"],
+    # an empty pattern, and an inline word read as a comment line
+    ["occ", "--pattern", "", "--word", "0110"],
+    ["occ", "--pattern", "a", "--word", "#a#"],
     # minwindow and window
     ["minwindow", "--pattern", "10011", *PAPER, "100000"],
     ["minwindow", "--pattern", "0000", *PAPER, "10000"],
@@ -118,6 +121,9 @@ OPS = [
     ["window", "--pattern", "10011", "--window-length", "560", *PAPER, "100000"],
     ["window", "--pattern", "10011", "--window-length", "6", *PAPER, "1000"],
     ["window", "--pattern", "10011", "--window-length", "0", *PAPER, "1000"],
+    # an empty pattern with a window past the word, and with an invalid one
+    ["window", "--pattern", "", "--window-length", "99", "--word", "0110"],
+    ["window", "--pattern", "", "--window-length", "0", "--word", "0110"],
     # stability and cut-search
     ["stability", "--max-len", "6", *PAPER, "10000"],
     ["stability", "--max-len", "4", "--require", "0000", "--require", "10011", *PAPER, "10000"],
@@ -127,6 +133,7 @@ OPS = [
     ["stability", "--max-len", "3", "--word-file", "{in}/multi.word"],
     ["stability", "--max-len", "2", "--word", "0é0日0é"],
     ["stability", "--max-len", "0", "--word", "0110"],
+    ["stability", "--max-len", "2", "--require", "", "--word", "0110"],
     ["cut-search", "--max-len", "8", "--cuts", "0,10,60,310", *PAPER, "30000"],
     ["cut-search", "--max-len", "6", "--cuts", "0,100", "--require", "10011", *TAU, "20000"],
     ["cut-search", "--max-len", "3", "--cuts", "0,2", "--word-file", "{in}/word.txt"],
