@@ -48,6 +48,7 @@ from .words import (
     _encode,
     _gather,
     _lookup,
+    _text_symbols,
     occurrences,
     parse_word,
     render_starts,
@@ -94,6 +95,19 @@ def _relabel(word: FiniteWord, alphabet: Alphabet) -> FiniteWord:
     symbol that ``alphabet`` lacks and its position."""
     codes = _gather(_lookup(alphabet, word.alphabet.labels), word.data)
     return FiniteWord._wrap(alphabet, _encode(alphabet, word, codes))
+
+
+def _over_input(delay: FiniteWord, word: FiniteWord | None, text: str | None) -> FiniteWord:
+    """The delay word ``delay``, of one letter, over the input's alphabet
+    when that alphabet holds the letter: the generated ``word``'s, or the
+    sorted distinct symbols of ``text`` as ``FiniteWord.from_text`` reads
+    them over ``delay``'s alphabet.  Otherwise, and when those symbols make
+    no alphabet, ``delay`` as it is."""
+    with contextlib.suppress(AlphabetError):
+        labels = word.alphabet if text is None else sorted(set(_text_symbols(delay.alphabet, text)))
+        if delay[0] in labels:
+            return _relabel(delay, Alphabet(labels))
+    return delay
 
 
 def _family(tau_path: str | None, tamper_index: int | None = None) -> CounterexampleFamily:
@@ -249,20 +263,25 @@ def cmd_run(args, parser):
     if args.machine is not None:
         machine = parse_machine(_read(args.machine))
     else:
-        machine = delay_prepend_automaton(parse_word(args.delay_prepend))
+        delay = parse_word(args.delay_prepend)
+        # A word of one letter waits for the input's alphabet.
+        machine = None if len(delay.alphabet) == 1 else delay_prepend_automaton(delay)
     word = _generated_word(args, parser)
     if word is not None:
-        if word.alphabet != machine.input_alphabet:
-            # The generated alphabet may be a sub-alphabet of the machine's.
-            word = _relabel(word, machine.input_alphabet)
+        text = None
+    elif args.input is not None:
+        text = args.input
+    elif args.input_file is not None:
+        text = _read(args.input_file)
     else:
-        if args.input is not None:
-            text = args.input
-        elif args.input_file is not None:
-            text = _read(args.input_file)
-        else:
-            text = sys.stdin.read()
+        text = sys.stdin.read()
+    if machine is None:
+        machine = delay_prepend_automaton(_over_input(delay, word, text))
+    if word is None:
         word = FiniteWord.from_text(machine.input_alphabet, text)
+    elif word.alphabet != machine.input_alphabet:
+        # The generated alphabet may be a sub-alphabet of the machine's.
+        word = _relabel(word, machine.input_alphabet)
     trace = run_transducer(machine, word)
     if args.emit_states:
         # One token per transition the run takes, "@state" then its labels,

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import AlphabetError, BudgetError, FormatError
-from .machines import Homomorphism, _content_lines, _emission_word, _image_lines, _read
+from .machines import Homomorphism, _content_lines, _image_lines, _read, _split_emission
 from .sources import DEFAULT_BUDGET, InfiniteWordSource, MorphicSource, PeriodicSource
 from .words import BINARY, Alphabet, FiniteWord
 
@@ -200,5 +200,5 @@ def load_morphism_rules(path) -> Homomorphism:
         raise FormatError(str(e)) from e
     if not alphabet.single_char:
         raise FormatError("morphism rule files support single-character symbols only")
-    images = {sym: _emission_word(image, alphabet, no, empty=None) for no, sym, image in rules}
+    images = {sym: _split_emission(image, alphabet, None, no) for no, sym, image in rules}
     return Homomorphism(alphabet, alphabet, images)

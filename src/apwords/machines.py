@@ -17,7 +17,9 @@ import numpy as np
 from . import _kernels
 from .errors import AlphabetError, BudgetError, FormatError
 from .sources import InfiniteWordSource
-from .words import Alphabet, EmissionTable, FiniteWord, _encode, _gather, _lookup, render_symbols
+from .words import (
+    Alphabet, EmissionTable, FiniteWord, _encode, _gather, _lookup, _not_in, render_symbols
+)
 
 INFINITE_EVIDENT = "infinite-evident"
 FINITE_SO_FAR = "finite-so-far"
@@ -107,15 +109,15 @@ def _state_index(states, line=None) -> dict[str, int]:
     return index
 
 
-def _read_transitions(input_alphabet, states, state_idx, transitions):
+def _read_transitions(input_alphabet, state_idx, transitions):
     """The next-state table (a flat list in key order) and the emissions
     (as given, in key order) of ``transitions``, an iterable of
     ``(line, state, input symbol, next state, emission)`` over the states
-    ``states`` indexed by ``state_idx``.  A fault raises FormatError
-    carrying its line (None when there is none)."""
+    indexed by ``state_idx``.  A fault raises FormatError carrying its
+    line (None when there is none)."""
     na = len(input_alphabet)
-    next_state = [-1] * (len(states) * na)
-    emissions = [None] * (len(states) * na)
+    next_state = [-1] * (len(state_idx) * na)
+    emissions = [None] * (len(state_idx) * na)
     for no, q, a, q2, out in transitions:
         if q not in state_idx:
             raise FormatError(f"transition from undeclared state {q!r}", line=no)
@@ -128,22 +130,10 @@ def _read_transitions(input_alphabet, states, state_idx, transitions):
         emissions[key] = out
     missing = [divmod(k, na) for k, q2 in enumerate(next_state) if q2 < 0]
     if missing:
+        states = tuple(state_idx)
         missing = [(states[q], input_alphabet.label(a)) for q, a in missing[:5]]
         raise FormatError(f"transition table not total; missing {missing}")
     return next_state, emissions
-
-
-def _dict_tables(input_alphabet, states, initial, transitions):
-    """The tables of a transitions dict, ``(state label, input label) ->
-    (next state label, emission)``: ``(state labels, initial state's
-    index, next-state table)``, and the emissions as given, in key order."""
-    states = tuple(states)
-    state_idx = _state_index(states)
-    if initial not in state_idx:
-        raise FormatError(f"initial state {initial!r} not declared")
-    items = ((None, q, a, q2, out) for (q, a), (q2, out) in transitions.items())
-    next_state, emissions = _read_transitions(input_alphabet, states, state_idx, items)
-    return (states, state_idx[initial], next_state), emissions
 
 
 class Transducer:
@@ -158,22 +148,28 @@ class Transducer:
         (next state label, output FiniteWord-or-label-list).  The dict is
         read into tables, and the machine takes the attributes that
         ``_from_tables`` gives the machine of those tables."""
-        tables, emissions = _dict_tables(input_alphabet, states, initial, transitions)
+        state_idx = _state_index(tuple(states))
+        if initial not in state_idx:
+            raise FormatError(f"initial state {initial!r} not declared")
+        items = ((None, q, a, q2, out) for (q, a), (q2, out) in transitions.items())
+        next_state, emissions = _read_transitions(input_alphabet, state_idx, items)
         emit = _emissions(emissions, output_alphabet)
-        vars(self).update(vars(self._from_tables(input_alphabet, output_alphabet, *tables, emit)))
+        tables = (state_idx, state_idx[initial], next_state, emit)
+        vars(self).update(vars(self._from_tables(input_alphabet, output_alphabet, *tables)))
 
     @classmethod
     def _from_tables(cls, input_alphabet, output_alphabet, states, initial_idx, next_state, emit):
-        """The machine whose state i is labelled ``states[i]``, that starts
-        in state ``initial_idx`` and that, in state q on input symbol a,
-        moves to ``next_state[q, a]`` (a ``(|Q|, |A|)`` table of state
-        indices, or its rows concatenated) and emits ``emit[q * |A| + a]``.
-        The tables are trusted; only a repeated state label raises."""
+        """The machine whose states are the keys of ``states``, a
+        ``_state_index`` (each label's index, in index order), that starts in
+        state ``initial_idx`` and that, in state q on input symbol a, moves
+        to ``next_state[q, a]`` (a ``(|Q|, |A|)`` table of state indices, or
+        its rows concatenated) and emits ``emit[q * |A| + a]``.  The tables
+        are trusted."""
         machine = object.__new__(cls)
         machine.input_alphabet = input_alphabet
         machine.output_alphabet = output_alphabet
         machine.states = tuple(states)
-        machine._state_idx = _state_index(machine.states)
+        machine._state_idx = states
         machine.initial = machine.states[initial_idx]
         machine._initial_idx = initial_idx
         machine._next = np.asarray(next_state, np.int32).reshape(-1, len(input_alphabet))
@@ -192,10 +188,10 @@ class MealyMachine(Transducer):
 
     def __init__(self, input_alphabet, output_alphabet, states, initial, transitions):
         """``transitions`` maps (state label, input label) to
-        (next state label, output label)."""
-        tables, labels = _dict_tables(input_alphabet, states, initial, transitions)
-        emit = _one_symbol_table(_encode(output_alphabet, labels))
-        vars(self).update(vars(self._from_tables(input_alphabet, output_alphabet, *tables, emit)))
+        (next state label, output label): the transducer of one-label
+        emissions."""
+        words = {key: (q2, (label,)) for key, (q2, label) in transitions.items()}
+        super().__init__(input_alphabet, output_alphabet, states, initial, words)
 
     def transition(self, state: str, symbol: str) -> tuple[str, str]:
         q2, out = super().transition(state, symbol)
@@ -332,7 +328,7 @@ def delay_prepend_automaton(a: FiniteWord) -> MealyMachine:
     else:
         tokens = text.split(" ")
         labels = [",".join(tokens[i : i + length]) for i in range(0, n * length, length)]
-    return MealyMachine._from_tables(alph, alph, labels, 0, next_state, emit)
+    return MealyMachine._from_tables(alph, alph, _state_index(labels), 0, next_state, emit)
 
 
 def _reachable(machine) -> list[int]:
@@ -367,7 +363,7 @@ def decompose_transducer(transducer: Transducer) -> tuple[MealyMachine, Homomorp
     keys = (reach[:, None] * len(inputs) + np.arange(len(inputs))).ravel()
     next_state = rank[transducer._next[reach]]
     emit = _one_symbol_table(np.arange(len(pairs), dtype=np.uint8))
-    automaton = MealyMachine._from_tables(inputs, pairs, states, 0, next_state, emit)
+    automaton = MealyMachine._from_tables(inputs, pairs, _state_index(states), 0, next_state, emit)
     table = transducer._emit
     images = EmissionTable.from_cells(table.lengths[keys], table.expand(keys))
     return automaton, Homomorphism._from_table(pairs, transducer.output_alphabet, images)
@@ -403,36 +399,23 @@ def output_infinite_check(h: Homomorphism, source: InfiniteWordSource, budget: i
 # definition file formats
 
 
-def _split_emission(token: str, alphabet: Alphabet, empty: str | None) -> list[str]:
+def _split_emission(token: str, alphabet: Alphabet, empty: str | None, line=None) -> list[str]:
+    """The labels of ``alphabet`` that emission ``token`` on line ``line``
+    spells, matched longest first; ``empty`` is the token for the empty
+    word (None for no such token).  A character that starts no label
+    raises FormatError naming it and its position among the labels."""
     if token == empty:
         return []
-    if token in alphabet:
-        return [token]
-    if alphabet.single_char:
-        return list(token)
-    # Greedy longest-match tokenization for multi-character labels.
+    lengths = sorted({len(label) for label in alphabet}, reverse=True)
     out = []
-    rest = token
-    labels = sorted(alphabet.labels, key=len, reverse=True)
-    while rest:
-        for lab in labels:
-            if rest.startswith(lab):
-                out.append(lab)
-                rest = rest[len(lab):]
-                break
-        else:
-            raise FormatError(f"cannot split emission token {token!r} into symbols")
+    pos = 0
+    while pos < len(token):
+        label = next((t for k in lengths if (t := token[pos : pos + k]) in alphabet), None)
+        if label is None:
+            raise FormatError(_not_in(alphabet, token[pos], len(out)), line=line)
+        out.append(label)
+        pos += len(label)
     return out
-
-
-def _emission_word(token: str, alphabet: Alphabet, no: int, empty="-") -> FiniteWord:
-    """The word emission ``token`` on line ``no`` spells over ``alphabet``;
-    ``empty`` is the token for the empty word (None for no such token)."""
-    try:
-        labels = _split_emission(token, alphabet, empty)
-        return FiniteWord._wrap(alphabet, _encode(alphabet, labels))
-    except (FormatError, AlphabetError) as e:
-        raise FormatError(str(e), line=no) from e
 
 
 def _header(lines, lineno, key):
@@ -494,14 +477,13 @@ def parse_machine(text: str):
             q, a, _, q2, emission = tokens
             if a not in input_alphabet:
                 raise FormatError(f"undeclared input symbol {a!r}", line=no)
-            yield no, q, a, q2, _emission_word(emission, output_alphabet, no)
+            yield no, q, a, q2, _split_emission(emission, output_alphabet, "-", no)
 
-    items = transitions()
-    next_state, emissions = _read_transitions(input_alphabet, state_labels, state_idx, items)
+    next_state, emissions = _read_transitions(input_alphabet, state_idx, transitions())
     emit = _emissions(emissions, output_alphabet)
     kind = MealyMachine if (emit.lengths == 1).all() else Transducer
     return kind._from_tables(
-        input_alphabet, output_alphabet, state_labels, state_idx[initial[0]], next_state, emit
+        input_alphabet, output_alphabet, state_idx, state_idx[initial[0]], next_state, emit
     )
 
 
@@ -573,7 +555,7 @@ def parse_homomorphism(text: str) -> Homomorphism:
     for no, sym, image in _image_lines(lines[2:]):
         if sym not in source:
             raise FormatError(f"image for {sym!r}, which is not a source symbol", line=no)
-        images[sym] = _emission_word(image, target, no)
+        images[sym] = _split_emission(image, target, "-", no)
     return Homomorphism(source, target, images)
 
 

@@ -252,10 +252,7 @@ class FiniteWord:
         (or tokens, as rendered, when not all ASCII), whitespace-separated
         tokens otherwise.  A symbol outside the alphabet raises
         AlphabetError naming it and its position."""
-        tokens = text.strip() if alphabet.single_char else text.split()
-        if len(tokens) == 1 and max(map(len, alphabet.labels)) == 1:
-            tokens = tokens[0]  # one unspaced run of 1-char labels
-        return cls._wrap(alphabet, _encode(alphabet, tokens))
+        return cls._wrap(alphabet, _encode(alphabet, _text_symbols(alphabet, text)))
 
     @classmethod
     def _wrap(cls, alphabet: Alphabet, arr: np.ndarray) -> FiniteWord:
@@ -306,6 +303,15 @@ class FiniteWord:
         return render_symbols(self._alphabet, self._data)
 
 
+def _text_symbols(alphabet: Alphabet, text: str) -> str | list[str]:
+    """The symbols ``FiniteWord.from_text`` reads in ``text`` over
+    ``alphabet``: its characters, or its whitespace-separated tokens."""
+    tokens = text.strip() if alphabet.single_char else text.split()
+    if len(tokens) == 1 and max(map(len, alphabet.labels)) == 1:
+        tokens = tokens[0]  # one unspaced run of 1-char labels
+    return tokens
+
+
 def _lookup(alphabet: Alphabet, tokens: str | Sequence[str]) -> np.ndarray:
     """Indices of ``tokens`` in ``alphabet`` (int16, -1 for a symbol it
     lacks).  ``tokens`` is a string, one symbol per character, or a
@@ -335,11 +341,14 @@ def _encode(alphabet: Alphabet, symbols, codes: np.ndarray | None = None) -> np.
     missing = np.flatnonzero(codes < 0)
     if missing.size:
         pos = int(missing[0])
-        raise AlphabetError(
-            f"symbol {symbols[pos]!r} at position {pos} is not in alphabet "
-            f"{' '.join(alphabet.labels)}"
-        )
+        raise AlphabetError(_not_in(alphabet, symbols[pos], pos))
     return codes.astype(np.uint8)
+
+
+def _not_in(alphabet: Alphabet, symbol, pos: int) -> str:
+    """The text of the fault of a word whose symbol at ``pos`` is
+    ``symbol``, which ``alphabet`` lacks."""
+    return f"symbol {symbol!r} at position {pos} is not in alphabet {' '.join(alphabet.labels)}"
 
 
 def _indices(alphabet: Alphabet, data, copy: bool = False) -> np.ndarray:

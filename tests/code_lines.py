@@ -1,7 +1,12 @@
 """Count the code lines of each ``src/apwords/*.py`` module and their total.
 
-    python3 tests/code_lines.py             # the working tree
-    python3 tests/code_lines.py --rev HEAD~1  # a revision, read through git show
+    python3 tests/code_lines.py                 # the working tree
+    python3 tests/code_lines.py --rev HEAD~1      # a revision, read through git show
+    python3 tests/code_lines.py --against HEAD~1  # HEAD~1, the working tree, the change
+
+With ``--against REV`` each row gives a module's count at REV, its count in
+the working tree (or at ``--rev``) and the difference; a module missing on
+one side counts 0 there.
 
 A code line is a line that holds a token other than a comment or a
 docstring: blank lines, comment-only lines and the lines of module, class
@@ -81,11 +86,19 @@ def modules(rev: str | None) -> dict[str, str]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rev", help="count a git revision in place of the working tree")
+    parser.add_argument("--against", metavar="REV", help="also count REV, and give the change")
     args = parser.parse_args(argv)
     counts = {path: code_lines(text) for path, text in modules(args.rev).items()}
-    for path, count in counts.items():
-        print(f"{count:6d}  {path}")
-    print(f"{sum(counts.values()):6d}  total")
+    if args.against is None:
+        for path, count in counts.items():
+            print(f"{count:6d}  {path}")
+        print(f"{sum(counts.values()):6d}  total")
+        return 0
+    before = {path: code_lines(text) for path, text in modules(args.against).items()}
+    rows = [(path, before.get(path, 0), counts.get(path, 0)) for path in sorted({*before, *counts})]
+    rows.append(("total", sum(before.values()), sum(counts.values())))
+    for path, old, new in rows:
+        print(f"{old:6d}  {new:6d}  {new - old:+6d}  {path}")
     return 0
 
 

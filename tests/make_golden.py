@@ -145,6 +145,10 @@ OPS = [
     ["run", "--delay-prepend", "xqzq", *XQZ, "1000"],
     ["run", "--delay-prepend", "xqz", *XQZ, "200", "--emit-states"],
     ["run", "--delay-prepend", "01010101010101010", *PAPER, "10"],
+    # a word of one letter, over the input's alphabet
+    ["run", "--delay-prepend", "1", *PAPER, "11"],
+    ["run", "--delay-prepend", "1", *PAPER, "12"],
+    ["run", "--delay-prepend", "0", "--input", "0110"],
     ["run", "--machine", "{in}/toggle.machine", "--input", "1101"],
     ["run", "--machine", "{in}/mealy.machine", *TM, "100000"],
     ["run", "--machine", "{in}/mealy.machine", "--input", "0110100", "--emit-states"],

@@ -830,3 +830,33 @@ def test_bad_input_exits_with_its_class_code(tmp_path_factory, values, bad_files
             assert err.startswith("usage: ") and ": error: " in err.splitlines()[-1], argv
         else:
             assert err.startswith("error: ") and err.count("\n") == 1, argv
+
+
+# A delay word of one letter is read over the input's alphabet when that
+# alphabet holds the letter: the --gen source's, or the distinct symbols of
+# the input text.  Otherwise the word keeps its own one-letter alphabet.
+ONE_LETTER_DELAYS = [
+    (["1", "--gen", "paper", "--length", "11"], 0, "11111111111\n"),
+    (["1", "--gen", "paper", "--length", "12"], 0, "111111111111\n"),
+    (["x", "--gen", "periodic:xqz", "--length", "5"], 0, "xxqzx\n"),
+    (["0", "--input", "0110"], 0, "0011\n"),
+    (["1", "--input", "0x1"], 0, "10x\n"),
+    (["é", "--input", "aé"], 0, "é a\n"),
+    (["1", "--input", "01", "--emit-states"], 0, "@1 1 @0 0\n"),
+    (["1", "--input-file", "{word}"], 0, "110\n"),
+    # Seventeen 1s over the paper's two letters: 2^17 states.
+    (["1" * 17, "--gen", "paper", "--length", "10"], 3, ""),
+    # The letter is not in the input's alphabet, or the input's symbols
+    # make no alphabet (a space is no label): the one-letter machine.
+    (["2", "--gen", "paper", "--length", "12"], 4, ""),
+    (["1", "--input", "1 0"], 4, ""),
+    (["1", "--input", "111"], 0, "111\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, out", ONE_LETTER_DELAYS)
+def test_one_letter_delay_over_the_input_alphabet(capsys, tmp_path, argv, code, out):
+    (tmp_path / "w.txt").write_text("100\n")
+    argv = [a.format(word=tmp_path / "w.txt") for a in argv]
+    got = run_cli(capsys, "run", "--delay-prepend", *argv)
+    assert got[:2] == (code, out)
