@@ -10,13 +10,17 @@ One implementation per kernel:
   filtered while they are in cache; ``_stretches`` yields each stretch's
   starts, for callers that fold them, and
 * ``mealy_run``, the one run of every machine, Mealy or transducer.  It
-  computes the states visited by a k-step table walk, for any number of
-  states and labels: the chunked run of Mytkowicz, Musuvathi and Schulte
-  ("Data-Parallel Finite-State Machines", ASPLOS 2014) with a table of
-  chunk transitions.  A machine of few states also takes the paper's
-  other half: blocks of chunks run from every state at once, so that the
-  Python walk takes one step per block.  The output is then one
-  expansion of the steps' keys through the machine's ``EmissionTable``.
+  computes the states visited as a walk over a lifted input, then one
+  gather of state rows: a lift through a map from letters to words holds
+  the states visited on each letter's word from every state.  A source
+  lifts through powers of its morphism (``InfiniteWordSource._blocks``),
+  raw input through chunks of k symbols: the chunked run of Mytkowicz,
+  Musuvathi and Schulte ("Data-Parallel Finite-State Machines", ASPLOS
+  2014) with each chunk's row in place of its replay.  A machine of few
+  states also takes the paper's other half: blocks of letters run from
+  every state at once, so that the Python walk takes one step per block.
+  The output is then one expansion of the steps' keys through the
+  machine's ``EmissionTable``.
 """
 
 import functools
@@ -262,25 +266,26 @@ def _stretch_starts(codes, size, p, offsets, low):
     return cand.astype(np.int64, copy=False)
 
 
-def mealy_run(next_state, emissions, initial, inp):
+def mealy_run(next_state, emissions, initial, inp, blocks=None):
     """Machine run: the states visited, then the words emitted.
 
     ``emissions`` is an ``EmissionTable`` holding the word emitted on each
-    transition under the key ``state * |A| + symbol``.  Returns the states
-    visited (``int32[n + 1]``, starting at ``initial``), each step's key
-    (``int32[n]``) and the concatenation of the words under those keys
+    transition under the key ``state * |A| + symbol``; ``blocks``, when
+    given, describes ``inp`` as blocks (``_run_states``).  Returns the
+    states visited (``int32[n + 1]``, starting at ``initial``), each step's
+    key (``int32[n]``) and the concatenation of the words under those keys
     (``uint8``).
     """
     na = next_state.shape[1]
-    states = _run_states(next_state, initial, inp)
+    states = _run_states(next_state, initial, inp, blocks)
     keys = states[:-1] * na + inp
     return states, keys, emissions.expand(keys)
 
 
 def _stride(n, nq, na):
     """The chunk length k of a run of n symbols through nq states over na
-    labels: the largest k >= 1 with nq * na^k <= n/16, so that the k-step
-    table costs a small share of the run.  A unary table does not grow
+    labels: the largest k >= 1 with nq * na^k <= n/16, so that the chunk
+    lift costs a small share of the run.  A unary table does not grow
     with k, so na = 1 counts as 2, which caps k at log2(n / (16 nq))."""
     k = 1
     while nq * max(na, 2) ** (k + 1) * 16 <= n:
@@ -288,88 +293,178 @@ def _stride(n, nq, na):
     return k
 
 
-# The most states for which _run_states composes blocks of chunks.
+# The most states for which _walk composes blocks of letters.
 _COMPOSE_STATES = 24
 
 
 def _blocking(chunks, nq):
-    """The chunks K per block of the walk over ``chunks`` chunk codes
-    through nq states (``_run_states``); K = 1 walks one chunk at a time.
+    """The letters K per block of the walk over ``chunks`` top letters
+    through nq states (``_walk``); K = 1 walks one letter at a time.
 
-    Composing the blocks' maps costs about nq gathered cells per chunk
-    (one add and one gather each), the walk one Python step per chunk,
+    Composing the blocks' maps costs about nq gathered cells per letter
+    (one add and one gather each), the walk one Python step per letter,
     which costs about as much as 30 states' cells: on a sweep of 8-96
     states over 2, 3 and 17 labels at 2*10^5 and 10^6 symbols (2 vCPU,
     numpy 2.4), blocks paid up to 28 states and broke even at 28-32.
-    They are used up to _COMPOSE_STATES.  Otherwise K balances a replay block's about 2K
+    They are used up to _COMPOSE_STATES.  K balances a block's about 2K
     numpy calls (a few us each) against its C/K walk steps (about 150 ns
     each): K = sqrt(C / 32)."""
     return max(1, isqrt(chunks // 32)) if nq <= _COMPOSE_STATES else 1
 
 
-def _run_states(next_state, initial, inp):
-    """States visited (``int32[n + 1]``), by a k-step table walk.
+def _run_states(next_state, initial, inp, blocks=None):
+    """States visited (``int32[n + 1]``): a walk over a lifted input, then
+    one gather of state rows.
 
-    The input is cut into chunks of k symbols (``_stride``).  A table gives
-    the state after each chunk from each state, and the k steps of all
-    chunks are replayed at once, one gather per step, ``_CHUNK`` symbols
-    at a time so that the replay's strided passes stay in cache.  The state
-    each chunk starts in comes from a Python walk through the table.  With
-    few states (``_blocking``) the chunks are grouped into blocks of K: K
-    gathers build each block's map of every state to the state after the
-    block, the walk takes one step per block through those maps, and K - 1
-    gathers more give each chunk's entry state from its block's.  On 10^6
-    random binary symbols (2 vCPU, numpy 2.4) a 16-state machine takes
-    10-16 ms at k = 11 and K = 27, against 13-22 ms walking one chunk at
-    a time.
+    A lift of the machine through a map psi from letters to words of L
+    symbols is its table of rows: row ``q * W + s`` holds the L states
+    visited on psi(s) from state q, W the number of letters.  The input is
+    psi of a top word, cut to n symbols; a walk through the rows' last
+    column gives the state each top letter is entered in, and one gather of
+    the rows ``entry * W + letter`` gives every state.
+
+    ``blocks`` is ``(base, images, segments)``, from a source
+    (``InfiniteWordSource._blocks``): the input is, over its segments
+    ``(j, top)`` in order, base(phi^j(top)), where ``base`` holds each
+    letter's word of input symbols as a row and ``images`` each letter's
+    image under the uniform morphism phi (``_lift``).  Without blocks the
+    input lifts through chunks of k symbols (``_stride``): its letters are
+    the |A|^k chunks and its top word the chunk codes, the chunked run of
+    Mytkowicz, Musuvathi and Schulte with the replay of each chunk replaced
+    by its row.
     """
     n = inp.shape[0]
     nq, na = next_state.shape
-    k = _stride(n, nq, na)
-    chunks = -(-n // k)
-    # The padding symbols run through the last chunk; their states fall
-    # outside the view returned.
-    text = np.zeros((chunks, k), np.uint8)
-    text.ravel()[:n] = inp
-    # table[q, c]: the state after the chunk of code c (its first symbol
-    # most significant) from state q.
-    table = next_state
-    for _ in range(k - 1):
-        table = next_state[table].reshape(nq, -1)
-    width = na**k
-    per = max(1, _CHUNK // k)
-    blocking = _blocking(min(chunks, per), nq)
+    if blocks is None:
+        k = _stride(n, nq, na)
+        levels, segments = [_chunk_rows(next_state, k)], [(0, _chunk_codes(inp, k, na))]
+    else:
+        base, images, segments = blocks
+        levels = _lift(next_state, base, images, max(j for j, _ in segments))
+    states = np.empty(n + 1, np.int32)
+    states[0] = q = initial
+    pos = 1
+    for j, top in segments:
+        if pos > n:
+            break
+        rows = levels[j]
+        size = rows.shape[1]
+        top = top[: -(-(n + 1 - pos) // size)]
+        q = _walk(rows, nq, q, top, states[pos:])
+        pos += top.shape[0] * size
+    return states
+
+
+def _chunk_rows(next_state, k):
+    """The rows of the chunk lift: row ``q * |A|^k + c`` holds the k states
+    visited from q on the chunk of code c, its first symbol most
+    significant.  Column i is the table of the state after the chunk's
+    first i + 1 symbols, each cell repeated over the chunks that share
+    them: k tables of about 2 |Q| |A|^k gathered cells in all, then one
+    write of each cell."""
+    nq, na = next_state.shape
+    step = next_state.astype(np.intp).ravel()
+    rows = np.empty((nq, na**k, k), np.min_scalar_type(nq - 1))
+    after = next_state.astype(np.intp)
+    for i in range(k):
+        if i:
+            after = step[after[:, :, None] * na + np.arange(na)].reshape(nq, -1)
+        rows.reshape(nq, na ** (i + 1), -1, k)[:, :, :, i] = after[:, :, None]
+    return rows.reshape(nq * na**k, k)
+
+
+def _chunk_codes(inp, k, na):
+    """The code of each chunk of k symbols of ``inp``, its first symbol most
+    significant and zeros past the end, in the narrowest unsigned dtype
+    that holds |A|^k codes: 2n/k bytes at most, one multiply-add pass of
+    n/k codes per column."""
+    codes = np.zeros(-(-inp.shape[0] // k), np.min_scalar_type(na**k - 1))
+    for i in range(k):
+        column = inp[i::k]
+        codes *= na
+        codes[: column.shape[0]] += column
+    return codes
+
+
+def _lift(next_state, base, images, top):
+    """The rows of levels 0 to ``top`` of the lift through base(phi^j), in
+    the narrowest unsigned dtype that holds the states.
+
+    Level 0 reads each letter's ``base`` row from every state, one gather
+    per column.  The rows of letter s at level j + 1 are the level-j rows
+    of the letters of phi(s) (``images[s]``), each read from the state the
+    one before it ends in: |phi(s)| row gathers per level, for every letter
+    and state at once."""
+    nq, na = next_state.shape
+    width = base.shape[0]
+    step = next_state.astype(np.intp).ravel()
+    entry = np.broadcast_to(np.arange(nq)[:, None], (nq, width))
+    rows = np.empty((nq, width, base.shape[1]), np.min_scalar_type(nq - 1))
+    q = entry
+    for i in range(base.shape[1]):
+        q = step[q * na + base[:, i]]
+        rows[:, :, i] = q
+    levels = [rows.reshape(nq * width, -1)]
+    for _ in range(top):
+        flat = levels[-1]
+        ends = flat[:, -1].astype(np.intp)
+        rows = np.empty((nq, width, images.shape[1], flat.shape[1]), flat.dtype)
+        q = entry
+        for i in range(images.shape[1]):
+            cells = q * width + images[:, i]
+            flat.take(cells, 0, rows[:, :, i], "clip")
+            q = ends[cells]
+        levels.append(rows.reshape(nq * width, -1))
+    return levels
+
+
+def _walk(rows, nq, initial, top, out):
+    """Write the states visited on the lifted ``top`` from state
+    ``initial`` into ``out``, up to its length, and return the state after
+    the last letter.
+
+    ``rows`` is a lift's table (``_run_states``) of nq states.  The walk
+    goes ``_CHUNK`` cells of rows at a time, so that a piece's temporaries
+    stay in cache.  A Python loop walks the piece's letters through the
+    rows' last column to find the state each one is entered in, and one
+    gather of rows gives all their states.  With few states
+    (``_blocking``) the letters are grouped into blocks of K: K gathers
+    build each block's map of every state to the state after the block,
+    the loop takes one step per block through those maps, and K - 1
+    gathers more give each letter's entry state from its block's.  On 10^6
+    random binary symbols (2 vCPU, numpy 2.4) a 16-state machine took
+    10-16 ms at k = 11 and K = 27, against 13-22 ms walking one chunk at a
+    time, measured when each chunk was replayed step by step.
+    """
+    width, size = rows.shape[0] // nq, rows.shape[1]
+    per = max(1, _CHUNK // size)
+    blocking = _blocking(min(top.shape[0], per), nq)
+    ends = rows[:, -1]
     if blocking == 1:
-        # The walk carries q as q * |A|^k, so that a step is one add and one
+        # The walk carries q as q * W, so that a step is one add and one
         # list index (lists index about four times faster than numpy
         # arrays).  The cells share the object array's nq ints: one pointer
         # per cell.
-        walk = (np.arange(nq, dtype=object) * width)[table].ravel().tolist()
+        walk = (np.arange(nq, dtype=object) * width)[ends].tolist()
     else:
-        # flat[q * |A|^k + c]: the state after chunk c from q, times |A|^k,
-        # the index of that state's row.
-        flat = table.astype(np.intp).ravel() * width
-    q = int(initial)
-    # The replay carries q as q * |A|, so that a step is one add and one
-    # gather; its indices are in range, and mode="clip" skips the check.
-    step = next_state.astype(np.intp).ravel() * na
-    states = np.empty(chunks * k + 1, np.int32)
-    states[0] = initial
-    by_chunk = states[1:].reshape(chunks, k)
-    for a in range(0, chunks, per):
-        part, out = text[a : a + per], by_chunk[a : a + per]
-        codes = part[:, 0].astype(np.intp)
-        for j in range(1, k):
-            codes *= na
-            codes += part[:, j]
+        # flat[q * W + s]: the state after letter s from q, times W, the
+        # index of that state's rows.
+        flat = ends.astype(np.intp) * width
+    q = initial * width
+    for a in range(0, top.shape[0], per):
+        codes = top[a : a + per].astype(np.intp)
         if blocking == 1:
-            rows, offsets, q = walk, memoryview(codes), q * width
+            entry = []
+            for c in memoryview(codes):
+                entry.append(q)
+                q = walk[q + c]
+            cells = np.array(entry, np.intp)
         else:
-            # grid[b, j]: the code of chunk j of block b, zeros past the end.
+            # grid[b, j]: letter j of block b, zeros past the end.
             blocks = -(-codes.shape[0] // blocking)
             grid = np.zeros((blocks, blocking), np.intp)
             grid.ravel()[: codes.shape[0]] = codes
-            # maps[b, q]: from q, the cell of the next chunk of block b, and
+            # maps[b, q]: from q, the row of the next letter of block b, and
             # at the end the state after the block.
             maps = np.arange(0, nq * width, width) + grid[:, :1]
             for j in range(1, blocking):
@@ -377,33 +472,27 @@ def _run_states(next_state, initial, inp):
                 maps += grid[:, j, None]
             np.take(flat, maps, None, maps, "clip")
             maps //= width
-            # The walk carries q as a state, and rows[b * nq + q] is the
+            # The loop carries q as a state, and after[b * nq + q] is the
             # state after block b from q; ints below 257 are cached, so the
             # list allocates no int objects.
-            rows, offsets = maps.ravel().tolist(), range(0, blocks * nq, nq)
-        entry = []
-        for off in offsets:
-            entry.append(q)
-            q = rows[q + off]
-        current = np.array(entry, np.intp)
-        if blocking > 1:
-            # Each chunk of a block starts where the one before it ends.
-            current *= width
+            after, q = maps.ravel().tolist(), q // width
+            entry = []
+            for off in range(0, blocks * nq, nq):
+                entry.append(q)
+                q = after[q + off]
+            # Each letter of a block is entered where the one before it ends.
+            current = np.array(entry, np.intp) * width
             starts = np.empty((blocks, blocking), np.intp)
             starts[:, 0] = current
             for j in range(1, blocking):
                 current += grid[:, j - 1]
                 np.take(flat, current, None, current, "clip")
                 starts[:, j] = current
-            current = starts.ravel()[: codes.shape[0]]
-        current //= width // na
-        keys = np.empty_like(current)
-        for j in range(k):
-            np.add(current, part[:, j], out=keys)
-            np.take(step, keys, out=current, mode="clip")
-            out[:, j] = current
-        out //= na
-        # The next replay starts where this one's last chunk ends; a walk
-        # over padded blocks ran past it.
-        q = int(out[-1, -1])
-    return states[: n + 1]
+            cells = starts.ravel()[: codes.shape[0]]
+        cells += codes
+        # The next piece is entered where this one's last letter ends; a
+        # walk over padded blocks ran past it.
+        q = int(ends[cells[-1]]) * width
+        piece = out[a * size : (a + codes.shape[0]) * size]
+        piece[:] = rows.take(cells, 0, mode="clip").ravel()[: piece.shape[0]]
+    return q // width

@@ -153,17 +153,17 @@ def _input_word(args, parser) -> FiniteWord:
     """Resolve the shared word-input options to a finite word."""
     if [args.word, args.word_file, args.gen].count(None) != 2:
         parser.error("give exactly one of --word, --word-file, --gen")
-    word = _generated_word(args, parser)
-    if word is not None:
-        return word
+    source = _generated_source(args, parser)
+    if source is not None:
+        return source.prefix(args.length)
     if args.word is not None:
         return parse_word(args.word)
     return parse_word(_read(args.word_file))
 
 
-def _generated_word(args, parser) -> FiniteWord | None:
-    """The ``--length`` prefix of the ``--gen`` word; None without
-    ``--gen``, where ``--length`` is a usage error."""
+def _generated_source(args, parser):
+    """The source of the ``--gen`` word, whose ``--length`` prefix is read;
+    None without ``--gen``, where ``--length`` is a usage error."""
     if args.gen is None:
         if args.length is not None:
             parser.error("--length needs --gen")
@@ -172,7 +172,7 @@ def _generated_word(args, parser) -> FiniteWord | None:
         parser.error("--gen needs --length")
     if args.length < 0:
         parser.error("--length must be >= 0")
-    return _build_source(args.gen).prefix(args.length)
+    return _build_source(args.gen)
 
 
 def _write(render, items, sep, step=CHUNK):
@@ -266,9 +266,10 @@ def cmd_run(args, parser):
         delay = parse_word(args.delay_prepend)
         # A word of one letter waits for the input's alphabet.
         machine = None if len(delay.alphabet) == 1 else delay_prepend_automaton(delay)
-    word = _generated_word(args, parser)
-    if word is not None:
-        text = None
+    source = _generated_source(args, parser)
+    word = text = None
+    if source is not None:
+        word = source.prefix(args.length)
     elif args.input is not None:
         text = args.input
     elif args.input_file is not None:
@@ -277,12 +278,12 @@ def cmd_run(args, parser):
         text = sys.stdin.read()
     if machine is None:
         machine = delay_prepend_automaton(_over_input(delay, word, text))
-    if word is None:
+    if source is None:
         word = FiniteWord.from_text(machine.input_alphabet, text)
     elif word.alphabet != machine.input_alphabet:
         # The generated alphabet may be a sub-alphabet of the machine's.
         word = _relabel(word, machine.input_alphabet)
-    trace = run_transducer(machine, word)
+    trace = run_transducer(machine, word, _source=source)
     if args.emit_states:
         # One token per transition the run takes, "@state" then its labels,
         # under the transition's rank among those taken (and transition 0,

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import AlphabetError, BudgetError, FormatError
 from .machines import Homomorphism, _content_lines, _image_lines, _read, _split_emission
-from .sources import DEFAULT_BUDGET, InfiniteWordSource, MorphicSource, PeriodicSource
+from .sources import DEFAULT_BUDGET, InfiniteWordSource, MorphicSource, PeriodicSource, _levels
 from .words import BINARY, Alphabet, FiniteWord
 
 MAX_LEVEL = 16
@@ -137,7 +137,28 @@ class OmegaSource(InfiniteWordSource):
         self.family = family
 
     def _prefix(self, n: int) -> np.ndarray:
-        return self.family.prefix_array(n)
+        # The source keeps its prefix, so it drops the blocks a_n that built
+        # it, which would otherwise live as long as the source: through a
+        # machine run over the prefix (``_blocks`` reads a_1 only).
+        prefix = self.family.prefix_array(n)
+        del self.family._a_cache[1:]
+        return prefix
+
+    def _blocks(self, n: int, cells: int):
+        """The head c_0 ... c_{J-1}, block j as tau(j) letters 1 at level j
+        (a_j = phi^j(1)), then phi^J of the family with tau shifted by J,
+        phi(1) = a_1 and phi(0) its complement: c_{J+i} = phi^J(c'_i)."""
+        family = self.family
+        levels = _levels(cells, 2, 5)
+        if levels is None:
+            return None
+        segments = [(j, np.ones(family.tau(j), np.uint8)) for j in range(levels)]
+        body = CounterexampleFamily(lambda i: family.tau(i + levels), family.budget)
+        rest = max(0, n - family.l_index(levels))
+        segments.append((levels, body.prefix_array(-(-rest // 5**levels))))
+        a1 = family.a_array(1)
+        base = np.arange(2, dtype=np.uint8)[:, None]
+        return base, np.stack([1 - a1, a1]).astype(np.uint8), segments
 
 
 def periodic_source(period: FiniteWord, budget: int = DEFAULT_BUDGET) -> PeriodicSource:

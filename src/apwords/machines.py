@@ -232,16 +232,34 @@ def apply_homomorphism(h: Homomorphism, w: FiniteWord) -> FiniteWord:
     return FiniteWord._wrap(h.target, h._images.expand(w.data))
 
 
-def _run(machine: Transducer, data: np.ndarray):
+def _run(machine: Transducer, data: np.ndarray, source: InfiniteWordSource | None = None):
     """States visited, step keys and output of ``machine`` on the input
-    symbols ``data``."""
-    return _kernels.mealy_run(machine._next, machine._emit, machine._initial_idx, data)
+    symbols ``data``, the prefix of ``source`` relabeled into the machine's
+    input alphabet when a source is given.  The source's blocks
+    (``InfiniteWordSource._blocks``), relabeled likewise, are sized to
+    about n/8 cells of lift; a source without blocks, or with a letter the
+    machine cannot read, is run as raw input.  Input whose first or last
+    symbol differs from the source's raises ValueError (a check of the
+    pairing at its ends: a full one would cost a pass over the input)."""
+    n, nq = data.shape[0], machine._next.shape[0]
+    blocks = None if source is None else source._blocks(n, n // (8 * nq))
+    if blocks is not None:
+        codes = _lookup(machine.input_alphabet, source.alphabet.labels)
+        if not np.array_equal(codes[source.prefix_array(n)[[0, -1]]], data[[0, -1]]):
+            raise ValueError("the input is not the prefix of its source")
+        base, images, segments = blocks
+        blocks = None if (codes < 0).any() else (codes[base].astype(np.uint8), images, segments)
+    return _kernels.mealy_run(machine._next, machine._emit, machine._initial_idx, data, blocks)
 
 
-def run_transducer(machine: Transducer, word: FiniteWord) -> RunTrace:
+def run_transducer(machine: Transducer, word: FiniteWord, *, _source=None) -> RunTrace:
+    """The run of ``machine`` on ``word``.  ``_source``, private to the
+    CLI, is a source whose prefix ``word`` is, relabeled into the machine's
+    input alphabet; the run then reads the word as its blocks (``_run``,
+    which checks the pairing at the word's ends)."""
     if word.alphabet != machine.input_alphabet:
         raise AlphabetError("input word is not over the machine's input alphabet")
-    states, keys, out = _run(machine, word.data)
+    states, keys, out = _run(machine, word.data, _source)
     lengths = machine._emit.lengths
     if np.ptp(lengths):
         step_lengths = _gather(lengths.astype(np.min_scalar_type(lengths.max())), keys)
@@ -275,7 +293,7 @@ class MealyStreamSource(InfiniteWordSource):
         self.input = inp
 
     def _prefix(self, n: int) -> np.ndarray:
-        return _run(self.machine, self.input.prefix_array(n))[2]
+        return _run(self.machine, self.input.prefix_array(n), self.input)[2]
 
 
 def run_mealy_stream(machine: MealyMachine, inp: InfiniteWordSource) -> MealyStreamSource:
@@ -293,7 +311,10 @@ def delay_prepend_automaton(a: FiniteWord) -> MealyMachine:
     numbered in breadth-first order from a's value s: the states reached
     in exactly j steps are (s * sigma^j mod sigma^L) + t for t < sigma^j,
     in that order, and the order is their concatenation over j = 0..L with
-    first occurrences kept.
+    first occurrences kept.  A state's label is its buffer's labels, run
+    together over one-character ASCII labels and joined by "," otherwise;
+    when a label holds ",", each is first escaped ("\\" as "\\\\", "," as
+    "\\,"), so that no two buffers share a label.
     """
     if len(a) == 0:
         raise ValueError("delay word must be nonempty")
@@ -327,6 +348,9 @@ def delay_prepend_automaton(a: FiniteWord) -> MealyMachine:
         labels = [text[i : i + length] for i in range(0, n * length, length)]
     else:
         tokens = text.split(" ")
+        if any("," in label for label in alph):
+            # Escaped, so that no two buffers join into one label.
+            tokens = [t.replace("\\", "\\\\").replace(",", "\\,") for t in tokens]
         labels = [",".join(tokens[i : i + length]) for i in range(0, n * length, length)]
     return MealyMachine._from_tables(alph, alph, _state_index(labels), 0, next_state, emit)
 

@@ -21,6 +21,25 @@ from .words import Alphabet, EmissionTable, FiniteWord, Segment
 DEFAULT_BUDGET = 100_000_000
 
 
+# A period is lifted when the prefix holds it at least _PERIOD_SHARE times.
+# Level 0 of its lift costs about 4 us a period symbol, the chunk lift's run
+# 5-15 ns an input symbol.  On periods of 5 to 65536 random binary symbols
+# at 10^5, 10^6 and 10^7 symbols through 2 to 300 states (2 vCPU, numpy
+# 2.4), the two broke even at n / p between 330 (64 states) and 1000 (2
+# states); below that the lift lost, by up to 3.4 times.
+_PERIOD_SHARE = 1024
+
+
+def _levels(cells: int, width: int, size: int) -> int | None:
+    """The most levels J >= 1 with width * size^J <= cells, or None when
+    there is none: the levels of a lift of ``width`` cells per state at
+    level 0 that grows by a factor ``size`` a level."""
+    levels = 0
+    while width * size ** (levels + 1) <= cells:
+        levels += 1
+    return levels or None
+
+
 def _check_index(i: int) -> None:
     if i < 0:
         raise BoundsError(f"symbol index must be >= 0, got {i}")
@@ -40,6 +59,17 @@ class InfiniteWordSource:
     def _prefix(self, n: int) -> np.ndarray:
         """Compute the length-n prefix from scratch (deterministic)."""
         raise NotImplementedError
+
+    def _blocks(self, n: int, cells: int):
+        """The length-n prefix as blocks, for a machine run whose lift may
+        hold about ``cells`` cells per state (``_kernels._run_states``):
+        ``(base, images, segments)``, where the prefix is, over the segments
+        ``(j, top)`` in order, base(phi^j(top)) cut to n symbols, with
+        ``base[s]`` the symbols of letter s and ``images[s]`` its image
+        under the uniform morphism phi.  None for a source that offers no
+        blocks, whose prefix is run as raw input.  Called after the prefix
+        is materialized."""
+        return None
 
     # -- public surface ------------------------------------------------
 
@@ -102,6 +132,18 @@ class PeriodicSource(InfiniteWordSource):
         _check_index(i)
         return self.period[int(i) % len(self.period)]
 
+    def _blocks(self, n: int, cells: int):
+        """One letter whose image is the period repeated 2^J times, built
+        by doubling.  Level 0 reads the period one numpy call per symbol,
+        so a period over n / ``_PERIOD_SHARE`` symbols is run as raw
+        input."""
+        period = self.period.data
+        levels = _levels(cells, period.shape[0], 2)
+        if levels is None or period.shape[0] * _PERIOD_SHARE > n:
+            return None
+        top = np.zeros(-(-n // (period.shape[0] << levels)), np.uint8)
+        return period[None, :], np.zeros((1, 2), np.uint8), [(levels, top)]
+
 
 class MorphicSource(InfiniteWordSource):
     """Fixed point of a morphism, iterated from a prolongable seed symbol.
@@ -130,6 +172,17 @@ class MorphicSource(InfiniteWordSource):
                 "must start with the seed and have length >= 2"
             )
         self.seed = seed
+
+    def _blocks(self, n: int, cells: int):
+        """phi^J(u), u the source's own prefix of n / |phi|^J symbols; a
+        morphism whose images differ in length offers no blocks."""
+        lengths = self._images.lengths
+        size = int(lengths[0])
+        levels = None if np.ptp(lengths) else _levels(cells, lengths.shape[0], size)
+        if levels is None:
+            return None
+        base = np.arange(lengths.shape[0], dtype=np.uint8)[:, None]
+        return base, self._images._padded, [(levels, self.prefix_array(-(-n // size**levels)))]
 
     def _prefix(self, n: int) -> np.ndarray:
         w = np.array([self.seed], np.uint8)

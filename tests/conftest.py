@@ -154,6 +154,9 @@ def delay_machine_bfs(a):
     first of its buffer)."""
     alph = a.alphabet
     sep = "" if alph.single_char else ","
+    names = alph.labels
+    if sep and any("," in label for label in names):
+        names = [label.replace("\\", "\\\\").replace(",", "\\,") for label in names]
     start = tuple(a.data.tolist())
     # State tuple -> index, filled when the search first meets the state.
     index = {start: 0}
@@ -167,7 +170,7 @@ def delay_machine_bfs(a):
                 index[v] = len(index)
                 queue.append(v)
             next_state[u, s] = index[v]
-    labels = tuple(sep.join(map(alph.label, u)) for u in index)
+    labels = tuple(sep.join(names[s] for s in u) for u in index)
     table = [[next_state[u, s] for s in range(len(alph))] for u in index]
     return labels, table, [u[0] for u in index]
 

@@ -66,6 +66,14 @@ FILES = {
         "u ab -> v élo\nu cd -> u -\nv ab -> u ü\nv cd -> v loéü\n"
     ),
     "bad.machine": "input: 0 1\noutput: 0 1\nstates: q\ninitial: q\nq 0 q 1\n",
+    # Images of 2 and 1 symbols: a morphism that is not uniform.
+    "fib.rules": "0 -> 01\n1 -> 0\n",
+    # The trans.machine table over the input alphabet 1 0.
+    "rev.machine": (
+        "input: 1 0\noutput: 0 1\nstates: t0 t1 t2 t3\ninitial: t0\n"
+        "t0 0 -> t2 11\nt0 1 -> t1 -\nt1 0 -> t3 010\nt1 1 -> t0 1\n"
+        "t2 0 -> t1 -\nt2 1 -> t3 00\nt3 0 -> t0 0\nt3 1 -> t2 101\n"
+    ),
     "word.txt": "alphabet: 0 1\n0110100110010110\n1001011001101001\n",
     "xqz.word": "xqzzqxqzxzqqxzzxqzqx\n",
     "multi.word": "alphabet: ab cd\nab cd cd ab cd ab ab cd cd ab\n",
@@ -161,6 +169,17 @@ OPS = [
     ["run", "--machine", "{in}/xqz.machine", "--input-file", "{in}/xqz.word", "--emit-states"],
     ["run", "--machine", "{in}/multi.machine", "--input", "ab cd cd ab ab"],
     ["run", "--machine", "{in}/multi.machine", "--input", "ab cd cd ab ab", "--emit-states"],
+    # runs over a non-uniform morphism, a period of five letters, a machine
+    # whose input alphabet is 1 0, and the paper's word at l_index(6) - 1 and
+    # l_index(6) + 1 symbols
+    ["run", "--machine", "{in}/trans.machine", "--gen", "morphic:{in}/fib.rules:0", "--length", "50000"],
+    ["run", "--machine", "{in}/mealy.machine", "--gen", "periodic:01101", "--length", "100000"],
+    ["run", "--machine", "{in}/rev.machine", *PAPER, "100000"],
+    ["run", "--machine", "{in}/rev.machine", *PAPER, "3000", "--emit-states"],
+    ["run", "--machine", "{in}/trans.machine", *PAPER, "39059"],
+    ["run", "--machine", "{in}/trans.machine", *PAPER, "39061", "--emit-states"],
+    # delay-machine labels holding ","
+    ["run", "--delay-prepend", "a a,b a,a b", "--input", "a a,b a", "--emit-states"],
     ["run", "--machine", "{in}/bad.machine", "--input", "01"],
     ["run", "--machine", "{in}/missing.machine", "--input", "01"],
     ["run", "--machine", "{in}/toggle.machine", "--input", "012"],

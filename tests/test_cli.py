@@ -448,11 +448,14 @@ class TestRun:
         assert "2^17" in err
 
     def test_colliding_delay_state_labels(self, capsys):
-        # The ","-joined buffers "a" "a,b" "a,a" "b" and "a,a" "b" "a" "a,b"
-        # (and others) spell one label; the error names only the first.
-        code, out, err = run_cli(capsys, "run", "--delay-prepend", "a a,b a,a b", "--input", "a")
-        assert (code, out) == (2, "")
-        assert err == "error: duplicate state label 'a,a,b,a,a,b'\n"
+        # Joined by "," as they are, the buffers "a" "a,b" "a,a" "b" and
+        # "a,a" "b" "a" "a,b" (and others) would spell one label; labels
+        # holding "," are escaped first, so every buffer has its own.
+        argv = ["run", "--delay-prepend", "a a,b a,a b", "--input", "a a,b a"]
+        assert run_cli(capsys, *argv) == (0, "a a,b a,a\n", "")
+        code, out, err = run_cli(capsys, *argv, "--emit-states")
+        assert (code, err) == (0, "")
+        assert out == "@a,a\\,b,a\\,a,b a @a\\,b,a\\,a,b,a a,b @a\\,a,b,a,a\\,b a,a\n"
 
 
 class TestDecompose:
