@@ -137,18 +137,19 @@ class OmegaSource(InfiniteWordSource):
         self.family = family
 
     def _prefix(self, n: int) -> np.ndarray:
-        # The source keeps its prefix, so it drops the blocks a_n that built
-        # it, which would otherwise live as long as the source: through a
-        # machine run over the prefix (``_blocks`` reads a_1 only).
-        prefix = self.family.prefix_array(n)
-        del self.family._a_cache[1:]
-        return prefix
+        return self.family.prefix_array(n)
 
     def _blocks(self, n: int, cells: int):
         """The head c_0 ... c_{J-1}, block j as tau(j) letters 1 at level j
         (a_j = phi^j(1)), then phi^J of the family with tau shifted by J,
         phi(1) = a_1 and phi(0) its complement: c_{J+i} = phi^J(c'_i)."""
         family = self.family
+        # The blocks a_n past a_1 built the prefix the source keeps; drop
+        # them before the run rather than hold them through it.  Only here:
+        # freeing them as soon as any prefix is built moves glibc's mmap
+        # threshold in the middle of the op, and the peak RSS of ops that
+        # only print or scan the prefix then depends on its length.
+        del family._a_cache[2:]
         levels = _levels(cells, 2, 5)
         if levels is None:
             return None
