@@ -12,15 +12,17 @@ One implementation per kernel:
 * ``mealy_run``, the one run of every machine, Mealy or transducer.  It
   computes the states visited as a walk over a lifted input, then one
   gather of state rows: a lift through a map from letters to words holds
-  the states visited on each letter's word from every state.  A source
-  lifts through powers of its morphism (``InfiniteWordSource._blocks``),
-  raw input through chunks of k symbols: the chunked run of Mytkowicz,
-  Musuvathi and Schulte ("Data-Parallel Finite-State Machines", ASPLOS
-  2014) with each chunk's row in place of its replay.  A machine of few
-  states also takes the paper's other half: blocks of letters run from
-  every state at once, so that the Python walk takes one step per block.
-  The output is then one expansion of the steps' keys through the
-  machine's ``EmissionTable``.
+  the states visited on each letter's word from every state.  One
+  builder, ``_lift``, makes every lift, and one rule sizes it to about
+  n / ``_LIFT_SHARE`` cells.  A source lifts through powers of its
+  morphism (``InfiniteWordSource._blocks``), raw input through the map
+  that sends each chunk code to its k symbols: the chunked run of
+  Mytkowicz, Musuvathi and Schulte ("Data-Parallel Finite-State
+  Machines", ASPLOS 2014) with each chunk's row in place of its replay.
+  A machine of few states also takes the paper's other half: blocks of
+  letters run from every state at once, so that the Python walk takes
+  one step per block.  The output is then one expansion of the steps'
+  keys through the machine's ``EmissionTable``.
 """
 
 import functools
@@ -282,13 +284,18 @@ def mealy_run(next_state, emissions, initial, inp, blocks=None):
     return states, keys, emissions.expand(keys)
 
 
+# A lift may hold about n / _LIFT_SHARE cells, so that building it costs a
+# small share of a run over n symbols (``_stride``, ``machines._run``).
+_LIFT_SHARE = 8
+
+
 def _stride(n, nq, na):
     """The chunk length k of a run of n symbols through nq states over na
-    labels: the largest k >= 1 with nq * na^k <= n/16, so that the chunk
-    lift costs a small share of the run.  A unary table does not grow
-    with k, so na = 1 counts as 2, which caps k at log2(n / (16 nq))."""
+    labels: the largest k >= 1 whose chunk lift, nq * na^k rows of k
+    states, holds at most n / _LIFT_SHARE cells.  A unary lift does not
+    grow with k, so na = 1 counts as 2: k stays what two labels get."""
     k = 1
-    while nq * max(na, 2) ** (k + 1) * 16 <= n:
+    while nq * (k + 1) * max(na, 2) ** (k + 1) * _LIFT_SHARE <= n:
         k += 1
     return k
 
@@ -303,12 +310,12 @@ def _blocking(chunks, nq):
 
     Composing the blocks' maps costs about nq gathered cells per letter
     (one add and one gather each), the walk one Python step per letter,
-    which costs about as much as 30 states' cells: on a sweep of 8-96
-    states over 2, 3 and 17 labels at 2*10^5 and 10^6 symbols (2 vCPU,
-    numpy 2.4), blocks paid up to 28 states and broke even at 28-32.
-    They are used up to _COMPOSE_STATES.  K balances a block's about 2K
-    numpy calls (a few us each) against its C/K walk steps (about 150 ns
-    each): K = sqrt(C / 32)."""
+    which costs about as much as 30 states' cells: on a sweep of raw
+    input through 8-96 states over 2, 3 and 17 labels at 2*10^5 and 10^6
+    symbols (2 vCPU, numpy 2.4), blocks paid up to 24 states, broke even
+    at 32 and lost from 48.  They are used up to _COMPOSE_STATES.  K
+    balances a block's about 2K numpy calls (a few us each) against its C/K
+    walk steps (about 150 ns each): K = sqrt(C / 32)."""
     return max(1, isqrt(chunks // 32)) if nq <= _COMPOSE_STATES else 1
 
 
@@ -323,24 +330,24 @@ def _run_states(next_state, initial, inp, blocks=None):
     column gives the state each top letter is entered in, and one gather of
     the rows ``entry * W + letter`` gives every state.
 
-    ``blocks`` is ``(base, images, segments)``, from a source
-    (``InfiniteWordSource._blocks``): the input is, over its segments
-    ``(j, top)`` in order, base(phi^j(top)), where ``base`` holds each
-    letter's word of input symbols as a row and ``images`` each letter's
-    image under the uniform morphism phi (``_lift``).  Without blocks the
-    input lifts through chunks of k symbols (``_stride``): its letters are
-    the |A|^k chunks and its top word the chunk codes, the chunked run of
-    Mytkowicz, Musuvathi and Schulte with the replay of each chunk replaced
-    by its row.
+    ``blocks`` is ``(base, images, segments)``: the input is, over its
+    segments ``(j, top)`` in order, base(phi^j(top)), where ``base`` holds
+    each letter's word of input symbols as a row and ``images`` each
+    letter's image under the uniform morphism phi (``_lift``).  A source
+    gives its own (``InfiniteWordSource._blocks``).  Without them the input
+    is one segment of chunks of k symbols (``_stride``): its letters are
+    the |A|^k chunks, ``base`` their digits, and its top word the chunk
+    codes, the chunked run of Mytkowicz, Musuvathi and Schulte with the
+    replay of each chunk replaced by its row.
     """
     n = inp.shape[0]
     nq, na = next_state.shape
     if blocks is None:
         k = _stride(n, nq, na)
-        levels, segments = [_chunk_rows(next_state, k)], [(0, _chunk_codes(inp, k, na))]
-    else:
-        base, images, segments = blocks
-        levels = _lift(next_state, base, images, max(j for j, _ in segments))
+        digits = np.arange(na**k)[:, None] // na ** np.arange(k - 1, -1, -1) % na
+        blocks = digits.astype(np.uint8), None, [(0, _chunk_codes(inp, k, na))]
+    base, images, segments = blocks
+    levels = _lift(next_state, base, images, max(j for j, _ in segments))
     states = np.empty(n + 1, np.int32)
     states[0] = q = initial
     pos = 1
@@ -353,24 +360,6 @@ def _run_states(next_state, initial, inp, blocks=None):
         q = _walk(rows, nq, q, top, states[pos:])
         pos += top.shape[0] * size
     return states
-
-
-def _chunk_rows(next_state, k):
-    """The rows of the chunk lift: row ``q * |A|^k + c`` holds the k states
-    visited from q on the chunk of code c, its first symbol most
-    significant.  Column i is the table of the state after the chunk's
-    first i + 1 symbols, each cell repeated over the chunks that share
-    them: k tables of about 2 |Q| |A|^k gathered cells in all, then one
-    write of each cell."""
-    nq, na = next_state.shape
-    step = next_state.astype(np.intp).ravel()
-    rows = np.empty((nq, na**k, k), np.min_scalar_type(nq - 1))
-    after = next_state.astype(np.intp)
-    for i in range(k):
-        if i:
-            after = step[after[:, :, None] * na + np.arange(na)].reshape(nq, -1)
-        rows.reshape(nq, na ** (i + 1), -1, k)[:, :, :, i] = after[:, :, None]
-    return rows.reshape(nq * na**k, k)
 
 
 def _chunk_codes(inp, k, na):
@@ -388,7 +377,8 @@ def _chunk_codes(inp, k, na):
 
 def _lift(next_state, base, images, top):
     """The rows of levels 0 to ``top`` of the lift through base(phi^j), in
-    the narrowest unsigned dtype that holds the states.
+    the narrowest unsigned dtype that holds the states; ``images`` is read
+    only past level 0, so a lift of one level may pass None.
 
     Level 0 reads each letter's ``base`` row from every state, one gather
     per column.  The rows of letter s at level j + 1 are the level-j rows
@@ -432,9 +422,9 @@ def _walk(rows, nq, initial, top, out):
     build each block's map of every state to the state after the block,
     the loop takes one step per block through those maps, and K - 1
     gathers more give each letter's entry state from its block's.  On 10^6
-    random binary symbols (2 vCPU, numpy 2.4) a 16-state machine took
-    10-16 ms at k = 11 and K = 27, against 13-22 ms walking one chunk at a
-    time, measured when each chunk was replayed step by step.
+    random binary symbols (2 vCPU, numpy 2.4) a 16-state machine runs in
+    6.1 ms at k = 9 and K = 30, against 9.1 ms walking one chunk at a
+    time (medians of 9).
     """
     width, size = rows.shape[0] // nq, rows.shape[1]
     per = max(1, _CHUNK // size)

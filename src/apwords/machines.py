@@ -237,12 +237,13 @@ def _run(machine: Transducer, data: np.ndarray, source: InfiniteWordSource | Non
     symbols ``data``, the prefix of ``source`` relabeled into the machine's
     input alphabet when a source is given.  The source's blocks
     (``InfiniteWordSource._blocks``), relabeled likewise, are sized to
-    about n/8 cells of lift; a source without blocks, or with a letter the
-    machine cannot read, is run as raw input.  Input whose first or last
-    symbol differs from the source's raises ValueError (a check of the
-    pairing at its ends: a full one would cost a pass over the input)."""
+    about n / ``_kernels._LIFT_SHARE`` cells of lift, as raw input's chunks
+    are; a source without blocks, or with a letter the machine cannot read,
+    is run as raw input.  Input whose first or last symbol differs from the
+    source's raises ValueError (a check of the pairing at its ends: a full
+    one would cost a pass over the input)."""
     n, nq = data.shape[0], machine._next.shape[0]
-    blocks = None if source is None else source._blocks(n, n // (8 * nq))
+    blocks = None if source is None else source._blocks(n, n // (_kernels._LIFT_SHARE * nq))
     if blocks is not None:
         codes = _lookup(machine.input_alphabet, source.alphabet.labels)
         if not np.array_equal(codes[source.prefix_array(n)[[0, -1]]], data[[0, -1]]):

@@ -23,10 +23,10 @@ DEFAULT_BUDGET = 100_000_000
 
 # A period is lifted when the prefix holds it at least _PERIOD_SHARE times.
 # Level 0 of its lift costs about 4 us a period symbol, the chunk lift's run
-# 5-15 ns an input symbol.  On periods of 5 to 65536 random binary symbols
-# at 10^5, 10^6 and 10^7 symbols through 2 to 300 states (2 vCPU, numpy
-# 2.4), the two broke even at n / p between 330 (64 states) and 1000 (2
-# states); below that the lift lost, by up to 3.4 times.
+# 5-18 ns an input symbol.  On periods of 5 to 65536 random binary symbols
+# at 10^5, 10^6 and 10^7 symbols through 2, 16 and 64 states (2 vCPU, numpy
+# 2.4), the two broke even at n / p between about 330 (64 states) and 900
+# (2 states); below that the lift lost, by up to 4.8 times.
 _PERIOD_SHARE = 1024
 
 

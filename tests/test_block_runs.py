@@ -11,6 +11,7 @@ for the paper's family, at the ends l_index(i) - 1, l_index(i) and
 l_index(i) + 1 of the head c_0 ... c_{J-1} and of its blocks.
 """
 
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -304,3 +305,83 @@ class TestChunkLift:
         buffer = delay + text
         want = " ".join(f"@{buffer[i : i + 16]} {buffer[i]}" for i in range(len(text)))
         assert out == want + "\n"
+
+
+class TestRawLift:
+    """Raw input lifts through ``_kernels._lift`` over the digits of its
+    chunks, sized by ``_kernels._stride``: the rows hold at most
+    n / ``_LIFT_SHARE`` cells whenever k > 1."""
+
+    @given(
+        na=st.sampled_from([1, 2, 3, 17]),
+        nq=st.sampled_from([1, 2, 24, 25, 257]),
+        n=st.integers(0, 40_000),
+        edge=st.sampled_from([-1, 0, 1]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(na=1, nq=2, n=40_000, edge=1, seed=0)
+    @example(na=3, nq=2, n=40_000, edge=-1, seed=1)
+    @example(na=17, nq=1, n=40_000, edge=0, seed=2)
+    @example(na=2, nq=257, n=40_000, edge=1, seed=3)
+    @example(na=2, nq=25, n=30_000, edge=-1, seed=4)
+    @example(na=17, nq=24, n=0, edge=1, seed=5)
+    @settings(max_examples=40, deadline=None)
+    def test_matches_naive(self, na, nq, n, edge, seed):
+        # j * k - 1, j * k or j * k + 1 symbols, k the stride for n.
+        k = _kernels._stride(n, nq, na)
+        n = max(0, n // k * k + edge)
+        rng = np.random.default_rng(seed)
+        next_state = rng.integers(0, nq, (nq, na)).astype(np.int32)
+        # Every other emission is empty.
+        emissions = [
+            [rng.integers(0, 2, (q + a) % 2 * rng.integers(1, 4)).tolist() for a in range(na)]
+            for q in range(nq)
+        ]
+        initial = int(rng.integers(nq))
+        inp = rng.integers(0, na, n).astype(np.uint8)
+        table = EmissionTable([word for row in emissions for word in row])
+        states, keys, out = _kernels.mealy_run(next_state, table, initial, inp)
+        want_states, want_keys, want_out, _ = naive_transducer_run(next_state, emissions, initial, inp)
+        assert np.array_equal(states, want_states)
+        assert np.array_equal(keys, want_keys)
+        assert np.array_equal(out, want_out)
+
+    @pytest.mark.parametrize("na", [1, 2, 3, 17])
+    @pytest.mark.parametrize("nq", [1, 2, 24, 300])
+    def test_lift_holds_its_share(self, na, nq):
+        rng = np.random.default_rng(nq * 100 + na)
+        next_state = rng.integers(0, nq, (nq, na)).astype(np.int32)
+        for n in (10**3, 10**5, 10**6):
+            inp = rng.integers(0, na, n).astype(np.uint8)
+            with mock.patch.object(_kernels, "_walk", wraps=_kernels._walk) as walk:
+                _kernels._run_states(next_state, 0, inp)
+            rows = walk.call_args.args[0]
+            k = rows.shape[1]
+            assert rows.shape[0] == nq * na**k
+            # k is the largest stride whose lift fits the share.
+            assert nq * (k + 1) * max(na, 2) ** (k + 1) * _kernels._LIFT_SHARE > n
+            if k > 1:
+                assert rows.size * _kernels._LIFT_SHARE <= n
+
+    @given(
+        nq=st.integers(1, 6),
+        na=st.integers(1, 4),
+        k=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_rows_over_digits_step_by_step(self, nq, na, k, seed):
+        # Row q * |A|^k + c holds the k states visited from q on the chunk
+        # of code c, its first symbol most significant.
+        next_state = np.random.default_rng(seed).integers(0, nq, (nq, na)).astype(np.int32)
+        chunks = list(itertools.product(range(na), repeat=k))
+        (rows,) = _kernels._lift(next_state, np.array(chunks, np.uint8), None, 0)
+        want = []
+        for q in range(nq):
+            for chunk in chunks:
+                visited, state = [], q
+                for a in chunk:
+                    state = int(next_state[state, a])
+                    visited.append(state)
+                want.append(visited)
+        assert np.array_equal(rows, want)
